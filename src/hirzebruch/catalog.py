@@ -1,31 +1,41 @@
 """Catalog of characteristic series and their projective-space values.
 
-Families: euler (1 + a*t), todd (t/(1-exp(-t))), ty and txy (the one- and
-two-parameter Todd deformations), dab (t*(a*coth(a*t)+b)), gab
-(t*(a*cot(a*t)+b), handled through dab with a -> i*a), and file (arbitrary
-coefficients loaded from a JSON series file).
+Every parametric family is H_{x,y}(t) = t*(x*e^{st} + y)/(e^{st} - 1) with
+s = x + y, whose value on CP^n is (x^(n+1) - (-y)^(n+1))/(x + y). The one
+table FAMILIES maps each family to its parameter names and its (x, y):
+euler (1 + a*t, the removable case x + y = 0), todd (t/(1-exp(-t))), ty and
+txy (the one- and two-parameter Todd deformations), dab (t*(a*coth(a*t)+b))
+and gab (t*(a*cot(a*t)+b)). The family file (arbitrary coefficients loaded
+from a JSON series file) maps to None.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
 from .series import InsufficientOrderError, PowerSeries, series_from_json
 
 DEFAULT_ORDER = 16
 
-# family name -> required parameter names
-FAMILIES: Mapping[str, Tuple[str, ...]] = {
-    "euler": ("a",),
-    "todd": (),
-    "ty": ("y",),
-    "txy": ("x", "y"),
-    "dab": ("a", "b"),
-    "gab": ("a", "b"),
-    "file": (),
+
+class Family(NamedTuple):
+    """A parametric family: its parameter names and the map to (x, y)."""
+
+    params: Tuple[str, ...]
+    xy: Callable[..., Tuple[GaussianRational, GaussianRational]]
+
+
+FAMILIES: Mapping[str, Optional[Family]] = {
+    "euler": Family(("a",), lambda a: (a, -a)),
+    "todd": Family((), lambda: (GR_ONE, GR_ZERO)),
+    "ty": Family(("y",), lambda y: (GR_ONE, y)),
+    "txy": Family(("x", "y"), lambda x, y: (x, y)),
+    "dab": Family(("a", "b"), lambda a, b: (a + b, a - b)),
+    "gab": Family(("a", "b"), lambda a, b: (GR_I * a + b, GR_I * a - b)),
+    "file": None,
 }
 
 
@@ -40,7 +50,8 @@ class SeriesSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown series family {self.family!r}")
-        required = FAMILIES[self.family]
+        family = FAMILIES[self.family]
+        required = family.params if family else ()
         missing = [p for p in required if p not in self.params]
         if missing:
             raise ValueError(f"family {self.family!r} is missing parameters {missing}")
@@ -120,31 +131,27 @@ def _hxy(x: GaussianRational, y: GaussianRational, order: int) -> PowerSeries:
     return phi.inverse() + PowerSeries.monomial(1, order, x)
 
 
+def _xy(spec: SeriesSpec) -> Optional[Tuple[GaussianRational, GaussianRational]]:
+    """The (x, y) of H_{x,y} for a parametric family, None for file."""
+    family = FAMILIES[spec.family]
+    if family is None:
+        return None
+    return family.xy(*(spec.params[p] for p in family.params))
+
+
 def construct(spec: SeriesSpec, order: int = DEFAULT_ORDER) -> CharacteristicSeries:
-    """Expand the named characteristic series exactly up to `order`."""
+    """Expand the named characteristic series exactly up to `order` (a file
+    series stored to fewer degrees keeps all of them)."""
     if order < 2:
         raise ValueError("construction order must be at least 2")
-    p = spec.params
-    if spec.family == "euler":
-        series = PowerSeries.monomial(1, order, p["a"]) + 1
-    elif spec.family == "todd":
-        series = _hxy(GR_ONE, GR_ZERO, order)
-    elif spec.family == "ty":
-        series = _hxy(GR_ONE, p["y"], order)
-    elif spec.family == "txy":
-        series = _hxy(p["x"], p["y"], order)
-    elif spec.family == "dab":
-        series = _hxy(p["a"] + p["b"], p["a"] - p["b"], order)
-    elif spec.family == "gab":
-        a = GR_I * p["a"]
-        series = _hxy(a + p["b"], a - p["b"], order)
-    elif spec.family == "file":
+    xy = _xy(spec)
+    if xy is None:
         with open(spec.path) as fh:
             data = json.load(fh)
-        laurent = series_from_json(data)
-        series = laurent.power_part()
-    else:  # pragma: no cover - guarded by SeriesSpec
-        raise ValueError(f"unknown family {spec.family!r}")
+        series = series_from_json(data).power_part()
+        series = series.truncate(min(order, series.order))
+    else:
+        series = _hxy(*xy, order)
     return CharacteristicSeries(series, spec)
 
 
@@ -195,30 +202,15 @@ def verify_novikov(H: CharacteristicSeries, order: int) -> NovikovCheck:
     return NovikovCheck(True, None)
 
 
-def _alternating_sum(x: GaussianRational, y: GaussianRational, n: int) -> GaussianRational:
-    """(x^(n+1) - (-y)^(n+1))/(x + y) as the always-defined polynomial sum."""
-    total = GR_ZERO
-    for k in range(n + 1):
-        total = total + x ** k * (-y) ** (n - k)
-    return total
-
-
 def closed_form_cpn(spec: SeriesSpec, n: int) -> GaussianRational:
-    """Closed-form projective-space value of the named genus."""
+    """Closed-form projective-space value of the named genus:
+    (x^(n+1) - (-y)^(n+1))/(x + y), or its limit (n+1)*x^n when x + y = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    p = spec.params
-    if spec.family == "euler":
-        return (n + 1) * p["a"] ** n
-    if spec.family == "todd":
-        return GR_ONE
-    if spec.family == "ty":
-        return _alternating_sum(GR_ONE, p["y"], n)
-    if spec.family == "txy":
-        return _alternating_sum(p["x"], p["y"], n)
-    if spec.family == "dab":
-        return _alternating_sum(p["a"] + p["b"], p["a"] - p["b"], n)
-    if spec.family == "gab":
-        a = GR_I * p["a"]
-        return _alternating_sum(a + p["b"], a - p["b"], n)
-    raise ValueError(f"no closed form for family {spec.family!r}")
+    xy = _xy(spec)
+    if xy is None:
+        raise ValueError(f"no closed form for family {spec.family!r}")
+    x, y = xy
+    if not x + y:
+        return (n + 1) * x ** n
+    return (x ** (n + 1) - (-y) ** (n + 1)) / (x + y)

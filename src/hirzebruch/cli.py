@@ -11,7 +11,6 @@ import os
 import sys
 from typing import List, Optional
 
-from . import catalog
 from .catalog import (
     DEFAULT_ORDER,
     FAMILIES,
@@ -120,14 +119,14 @@ def _load_series(text: str, order: int) -> CharacteristicSeries:
 
 
 def _cmd_catalog(args) -> int:
-    for family, params in FAMILIES.items():
-        if family == "file":
+    for name, family in FAMILIES.items():
+        if family is None:
             print("file:PATH  (JSON series file)")
-        elif params:
-            sig = ",".join(f"{p}=<q(i)>" for p in params)
-            print(f"{family}:{sig}")
+        elif family.params:
+            sig = ",".join(f"{p}=<q(i)>" for p in family.params)
+            print(f"{name}:{sig}")
         else:
-            print(family)
+            print(name)
     return EXIT_OK
 
 

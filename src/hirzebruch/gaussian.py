@@ -166,7 +166,8 @@ class GaussianRational:
         if y < 0:
             v = -v
         root = GaussianRational._make(u, v)
-        assert root * root == self
+        if root * root != self:
+            raise ArithmeticError(f"square root of {format_gaussian(self)} failed its check")
         return root
 
 

@@ -160,7 +160,6 @@ def classify_oriented(H: CharacteristicSeries) -> GTReport:
     report = classify(H)
     report.oriented = True
     if report.is_gt:
-        assert not report.r1
         report.coth_a = report.d.sqrt()
         report.cot_a = (-report.d).sqrt()
     return report
@@ -171,6 +170,8 @@ def classify_oriented(H: CharacteristicSeries) -> GTReport:
 # Mixed-sign, magnitude-gapped weight tuples to defeat accidental
 # cancellation on the small symmetric base set.
 _EXTRA_POOL = (0, 1, 17, -9, 5, -23, 2, 11)
+# The largest m whose two gapped tuples both take m + 1 weights from the pool.
+_MAX_N = len(_EXTRA_POOL) - 2
 
 
 @dataclass
@@ -231,10 +232,13 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
     For each m <= max_n the sweep takes a deterministic base set (all
     distinct tuples in [-4, 4] when m <= 2, plus fixed gapped tuples)
     and `trials` seeded-random distinct tuples in [-20, 20]; it stops at
-    the first nonconstant result.
+    the first nonconstant result. The gapped tuples cover max_n up to 6.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    if max_n > _MAX_N:
+        raise ValueError(f"max_n must be at most {_MAX_N}, the largest CP^m "
+                         f"the gapped weight tuples cover")
     if H.order < order + max_n:
         raise InsufficientOrderError(
             f"ar_check at order {order} with max_n {max_n} needs H to order "

@@ -25,6 +25,16 @@ def test_expand_json_roundtrip(capsys, tmp_path):
     assert json.loads(out) == json.loads(out2)
 
 
+def test_expand_file_honours_order(capsys, tmp_path):
+    code, out, _ = run(capsys, "expand", "--series", "dab:a=1,b=1/2", "--order", "8", "--json")
+    assert code == 0
+    path = tmp_path / "series.json"
+    path.write_text(out)
+    code, out4, _ = run(capsys, "expand", "--series", f"file:{path}", "--order", "4")
+    assert code == 0
+    assert out4.strip() == "1, 1/2, 1/3, 0, -1/45"
+
+
 def test_cpn_closed_form(capsys):
     code, out, _ = run(capsys, "cpn", "--series", "txy:x=2,y=3", "--n", "2", "--closed-form")
     assert code == 0
@@ -89,6 +99,11 @@ def test_rigidity_pass_and_fail(capsys, tmp_path):
                        "--order", "12", "--trials", "20", "--seed", "7")
     assert code == 2
     assert out.startswith("FAIL") and "degree 2" in out
+
+
+def test_rigidity_rejects_max_n_beyond_the_tuple_pool(capsys):
+    code, out, err = run(capsys, "rigidity", "--series", "todd", "--max-n", "7")
+    assert code == 1 and out == "" and "max_n must be at most 6" in err
 
 
 def test_classify_text_and_expectation(capsys):

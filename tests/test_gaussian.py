@@ -99,6 +99,13 @@ def test_sqrt_missing():
     assert GR_I.sqrt() is None
 
 
+def test_sqrt_check_raises_without_assert(monkeypatch):
+    # a wrong root must raise even under python -O, where asserts vanish
+    monkeypatch.setattr("hirzebruch.gaussian._rational_sqrt", lambda q: Fraction(1))
+    with pytest.raises(ArithmeticError):
+        GaussianRational(3, 4).sqrt()
+
+
 def test_sqrt_negative_rational():
     root = GaussianRational(-Fraction(9, 4)).sqrt()
     assert root == GaussianRational(0, Fraction(3, 2))

@@ -6,7 +6,9 @@ import pytest
 from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n, parse_spec
 from hirzebruch.gaussian import GR_I, GaussianRational
 from hirzebruch.rigidity import (
+    _MAX_N,
     NotEvenSeriesError,
+    _base_tuples,
     ar1_residual,
     ar_check,
     classify,
@@ -222,6 +224,11 @@ def test_ar_check_insufficient_order():
     H = construct(parse_spec("todd"), 10)
     with pytest.raises(InsufficientOrderError):
         ar_check(H, max_n=3, order=8)
+
+
+@pytest.mark.parametrize("m", range(1, _MAX_N + 1))
+def test_base_tuples_have_m_plus_one_weights(m):
+    assert all(len(w) == m + 1 for w in _base_tuples(m))
 
 
 def test_ar_check_deterministic_in_seed():
