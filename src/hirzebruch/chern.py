@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
@@ -47,7 +48,11 @@ def partitions(n: int) -> Tuple[Partition, ...]:
 
 
 class GradedPoly:
-    """A homogeneous polynomial in c_1, c_2, ... indexed by partitions."""
+    """A homogeneous polynomial in c_1, c_2, ... indexed by partitions.
+
+    `terms` is a read-only view, so cached values (power_sum) can be
+    handed out without sharing mutable state.
+    """
 
     __slots__ = ("degree", "terms")
 
@@ -60,7 +65,7 @@ class GradedPoly:
             v = as_gaussian(value)
             if v:
                 clean[make_partition(key)] = v
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     def __getitem__(self, key: Sequence[int]) -> GaussianRational:
         return self.terms.get(make_partition(key), GR_ZERO)
@@ -114,7 +119,7 @@ class GradedPoly:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"GradedPoly({self.degree}, {self.terms!r})"
+        return f"GradedPoly({self.degree}, {dict(self.terms)!r})"
 
 
 def chern_class(j: int) -> GradedPoly:

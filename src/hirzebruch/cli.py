@@ -143,14 +143,12 @@ def _cmd_expand(args) -> int:
 def _cmd_cpn(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    order = max(args.n, 2)
-    H = _load_series(args.series, order)
-    value = h_n(H, args.n)
+    spec = parse_spec(args.series)
+    if args.closed_form and spec.family == "file":
+        raise UsageError("--closed-form is not available for file series")
+    value = h_n(construct(spec, max(args.n, 2)), args.n)
     print(format_gaussian(value))
     if args.closed_form:
-        spec = parse_spec(args.series)
-        if spec.family == "file":
-            raise UsageError("--closed-form is not available for file series")
         expected = closed_form_cpn(spec, args.n)
         print(f"closed form: {format_gaussian(expected)}")
         if expected != value:
@@ -169,6 +167,8 @@ def _cmd_chern(args) -> int:
         K = multiplicative_sequence(H, args.kn)
         if args.json:
             print(json.dumps(graded_poly_to_json(K)))
+        elif not K.terms:
+            print("0")
         else:
             for lam, value in K.items_sorted():
                 print(f"{list(lam)}: {format_gaussian(value)}")

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
 from .gaussian import GR_ZERO, GaussianRational, as_gaussian
-from .series import InsufficientOrderError, LaurentSeries
+from .series import InsufficientOrderError, LaurentSeries, _scaled, truncated_product
 
 
 @dataclass(frozen=True)
@@ -130,21 +130,15 @@ def _integerize(fracs: Tuple[Fraction, ...]) -> Tuple[int, Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=4096)
-def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...],
-                   size: int) -> Tuple[int, ...]:
+def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...]) -> Tuple[int, ...]:
     """Truncated product of the integer factor sequences nums[k]*w^k.
 
     Symmetric in the weights; callers pass them sorted so repeated
     tangent patterns across weight tuples hit the cache.
     """
-    conv = None
-    for w in weights:
-        power = 1
-        seq = []
-        for k in range(size):
-            seq.append(nums[k] * power)
-            power *= w
-        conv = seq if conv is None else _convolve_truncated(conv, seq, size)
+    conv = _scaled(nums, weights[0], 1)
+    for w in weights[1:]:
+        conv = truncated_product(conv, _scaled(nums, w, 1))
     return tuple(conv)
 
 
@@ -165,26 +159,13 @@ def _localize_rational(fracs: List[Fraction], fps: FixedPointSet,
     totals = [0] * size
     for p, wprod in zip(fps.points, wprods):
         # w * F_H(w t) has integer numerators nums[k] * w^k at degree k - 1
-        conv = _point_product(nums, tuple(sorted(p.weights)), size)
+        conv = _point_product(nums, tuple(sorted(p.weights)))
         scale = p.sign * (shared // wprod)
         for k in range(size):
             if conv[k]:
                 totals[k] += conv[k] * scale
     den_total = base * shared
     return LaurentSeries(-n, [GaussianRational(Fraction(q, den_total)) for q in totals])
-
-
-def _convolve_truncated(a: List[int], b: List[int], size: int) -> List[int]:
-    out = [0] * size
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        top = size - i
-        for j in range(top):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
 
 
 # -- JSON files ----------------------------------------------------------------

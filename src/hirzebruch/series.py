@@ -5,12 +5,17 @@ Arithmetic propagates the jointly-known range pessimistically and never
 fabricates tail coefficients; coefficients below the valuation of a
 Laurent series are exactly zero by definition.
 
+Two series are equal when they are known on the same range and agree on
+all of it, so a truncated operand never compares equal to a longer one.
+A scalar compares as a constant known to degree max(order, 0) of the
+series it is compared with.
+
 Values are immutable and all operations are pure functions.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, TypeVar, Union
 
 from .gaussian import (
     GR_ONE,
@@ -34,6 +39,37 @@ class ZeroSeriesDivisionError(ZeroDivisionError):
 
 def _coerce_coeffs(coeffs: Iterable[Coeff]) -> Tuple[GaussianRational, ...]:
     return tuple(as_gaussian(c) for c in coeffs)
+
+
+R = TypeVar("R")
+
+
+def truncated_product(a: Sequence[R], b: Sequence[R]) -> List[R]:
+    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b.
+
+    Sums start from the int 0, so the same loop serves Q(i) coefficients
+    and integer numerators; a degree with no nonzero product stays 0.
+    """
+    size = min(len(a), len(b))
+    out = [0] * size
+    for i in range(size):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(size - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
+def _scaled(coeffs: Sequence[R], w: R, power: R) -> List[R]:
+    """coeffs[k] * power * w^k for each k: the substitution t -> w*t."""
+    out = []
+    for c in coeffs:
+        out.append(c * power)
+        power = power * w
+    return out
 
 
 class PowerSeries:
@@ -78,12 +114,6 @@ class PowerSeries:
             raise ValueError("power series order must be nonnegative")
         return PowerSeries(self.coeffs[: order + 1])
 
-    def padded(self, order: int) -> "PowerSeries":
-        """Declare the tail zero up to `order`; only for exact polynomials."""
-        if order <= self.order:
-            return self.truncate(order)
-        return PowerSeries(self.coeffs + (GR_ZERO,) * (order - self.order))
-
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
@@ -106,18 +136,7 @@ class PowerSeries:
 
     def __mul__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
         if isinstance(other, PowerSeries):
-            n = min(self.order, other.order)
-            a, b = self.coeffs, other.coeffs
-            out: List[GaussianRational] = []
-            for k in range(n + 1):
-                acc = GR_ZERO
-                for i in range(k + 1):
-                    ai = a[i]
-                    bj = b[k - i]
-                    if ai and bj:
-                        acc = acc + ai * bj
-                out.append(acc)
-            return PowerSeries(out)
+            return PowerSeries(truncated_product(self.coeffs, other.coeffs))
         c = as_gaussian(other)
         return PowerSeries([c * x for x in self.coeffs])
 
@@ -183,13 +202,7 @@ class PowerSeries:
         return PowerSeries([(k + 1) * self.coeffs[k + 1] for k in range(self.order)])
 
     def scale_argument(self, w: Coeff) -> "PowerSeries":
-        w = as_gaussian(w)
-        power = GR_ONE
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * w
-        return PowerSeries(out)
+        return PowerSeries(_scaled(self.coeffs, as_gaussian(w), GR_ONE))
 
     def as_laurent(self) -> "LaurentSeries":
         return LaurentSeries(0, self.coeffs)
@@ -197,13 +210,10 @@ class PowerSeries:
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Coefficientwise equality on the intersection of known ranges."""
-        if isinstance(other, LaurentSeries):
-            return self.as_laurent() == other
-        if not isinstance(other, PowerSeries):
-            return self.as_laurent().__eq__(other)
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        """Equal known ranges with equal coefficients (see the module doc)."""
+        if isinstance(other, PowerSeries):
+            return self.coeffs == other.coeffs
+        return self.as_laurent().__eq__(other)
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -268,15 +278,11 @@ class LaurentSeries:
 
     # -- ring structure ----------------------------------------------------
 
-    def _aligned(self, other: "LaurentSeries"):
-        val = min(self.valuation, other.valuation)
-        order = min(self.order, other.order)
-        return val, order
-
     def __add__(self, other: Union["LaurentSeries", Coeff]) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
-            return self + LaurentSeries(0, [as_gaussian(other)]).padded_constant(self.order)
-        val, order = self._aligned(other)
+            return self + PowerSeries.constant(other, max(self.order, 0)).as_laurent()
+        val = min(self.valuation, other.valuation)
+        order = min(self.order, other.order)
         if order < val:
             # one summand is known-zero below the other's valuation only
             return LaurentSeries(order, [GR_ZERO])
@@ -284,12 +290,6 @@ class LaurentSeries:
         return LaurentSeries(val, out)
 
     __radd__ = __add__
-
-    def padded_constant(self, order: int) -> "LaurentSeries":
-        """Extend an exact constant/polynomial with known zeros up to `order`."""
-        if order <= self.order:
-            return self
-        return LaurentSeries(self.valuation, self.coeffs + (GR_ZERO,) * (order - self.order))
 
     def coefficient_or_zero(self, k: int) -> GaussianRational:
         if k < self.valuation or k > self.order:
@@ -311,21 +311,8 @@ class LaurentSeries:
         if not isinstance(other, LaurentSeries):
             c = as_gaussian(other)
             return LaurentSeries(self.valuation, [c * x for x in self.coeffs])
-        val = self.valuation + other.valuation
-        order = min(self.order + other.valuation, other.order + self.valuation)
-        a, b = self.coeffs, other.coeffs
-        out: List[GaussianRational] = []
-        for k in range(order - val + 1):
-            acc = GR_ZERO
-            lo = max(0, k - len(b) + 1)
-            hi = min(k, len(a) - 1)
-            for i in range(lo, hi + 1):
-                ai = a[i]
-                bj = b[k - i]
-                if ai and bj:
-                    acc = acc + ai * bj
-            out.append(acc)
-        return LaurentSeries(val, out)
+        return LaurentSeries(self.valuation + other.valuation,
+                             truncated_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -351,29 +338,23 @@ class LaurentSeries:
             out = [self.coefficient_or_zero(k) if k == 0 else GR_ZERO
                    for k in range(min(self.valuation, 0), self.order + 1)]
             return LaurentSeries(min(self.valuation, 0), out)
-        power = w ** self.valuation
-        out = []
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * w
-        return LaurentSeries(self.valuation, out)
+        return LaurentSeries(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
 
     # -- comparison ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        """Coefficientwise equality on the intersection of known ranges."""
+        """Equal known ranges with equal coefficients (see the module doc).
+
+        Normalization is canonical, so (valuation, coeffs) decides it.
+        """
         if isinstance(other, PowerSeries):
             other = other.as_laurent()
-        if not isinstance(other, LaurentSeries):
+        elif not isinstance(other, LaurentSeries):
             try:
-                co = as_gaussian(other)
+                other = PowerSeries.constant(other, max(self.order, 0)).as_laurent()
             except TypeError:
                 return NotImplemented
-            other = LaurentSeries(0, [co]).padded_constant(max(self.order, 0))
-        order = min(self.order, other.order)
-        lo = min(self.valuation, other.valuation)
-        return all(self.coefficient_or_zero(k) == other.coefficient_or_zero(k)
-                   for k in range(lo, order + 1))
+        return self.valuation == other.valuation and self.coeffs == other.coeffs
 
     __hash__ = None  # type: ignore[assignment]
 

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from hirzebruch.catalog import (
     parse_spec,
     verify_novikov,
 )
-from hirzebruch.gaussian import GR_I, GaussianRational
+from hirzebruch.gaussian import GR_I, GaussianRational, as_gaussian
 from hirzebruch.series import InsufficientOrderError, PowerSeries
 
 
@@ -100,6 +101,48 @@ def test_dab_even_after_removing_linear_term():
         assert H.r(1) == b
         for k in range(3, 13, 2):
             assert not H.series.coefficient(k)
+
+
+def akiyama_tanigawa_bernoulli(n):
+    """B_0..B_n with B_1 = -1/2, by the Akiyama-Tanigawa triangle."""
+    row, out = [], []
+    for m in range(n + 1):
+        row.append(Fraction(1, m + 1))
+        for j in range(m, 0, -1):
+            row[j - 1] = j * (row[j - 1] - row[j])
+        out.append(row[0])
+    out[1] = -out[1]
+    return out
+
+
+# (x, y) of H_{x,y}(t) = x*t + s*t/(e^{st} - 1), s = x + y, from each
+# family's defining series: 1 + a*t, t/(1 - e^{-t}), t*(a*coth(a*t) + b)
+# (coth u = 1 + 2/(e^{2u} - 1)) and t*(a*cot(a*t) + b) (cot u = i*coth(i*u)).
+ORACLE_XY = {
+    "euler": lambda p: (p["a"], -p["a"]),
+    "todd": lambda p: (1, 0),
+    "ty": lambda p: (1, p["y"]),
+    "txy": lambda p: (p["x"], p["y"]),
+    "dab": lambda p: (p["a"] + p["b"], p["a"] - p["b"]),
+    "gab": lambda p: (GR_I * p["a"] + p["b"], GR_I * p["a"] - p["b"]),
+}
+
+
+@pytest.mark.parametrize("text", [
+    "euler:a=0", "euler:a=3/2", "euler:a=1/2+2i", "todd", "ty:y=-1/3", "ty:y=2i",
+    "txy:x=2,y=1/3", "txy:x=1+i,y=-1/2i", "dab:a=1,b=1/2", "dab:a=1/2+3i,b=-1",
+    "gab:a=1,b=0", "gab:a=2/3,b=1-i",
+])
+def test_coefficients_match_bernoulli_oracle(text):
+    # H_{x,y} = x*t + sum_k B_k (s*t)^k / k!, with B_k from an independent recurrence
+    order = 30
+    spec = parse_spec(text)
+    x, y = map(as_gaussian, ORACLE_XY[spec.family](spec.params))
+    s = x + y
+    bernoulli = akiyama_tanigawa_bernoulli(order)
+    expected = [bernoulli[k] * s ** k / math.factorial(k) for k in range(order + 1)]
+    expected[1] = expected[1] + x
+    assert construct(spec, order).series == PowerSeries(expected)
 
 
 def test_characteristic_series_validation():

@@ -49,6 +49,14 @@ def test_power_sum_base_cases():
     assert power_sum(2) == GradedPoly(2, {(1, 1): 1, (2,): -2})
 
 
+def test_cached_power_sum_is_read_only():
+    p3 = power_sum(3)
+    with pytest.raises(TypeError):
+        p3.terms[(3,)] = 0
+    assert p3.terms == {(3,): 3, (2, 1): -3, (1, 1, 1): 1}
+    assert p3 == GradedPoly(3, dict(p3.terms))
+
+
 def test_power_sum_numeric_roots():
     # roots {1, 1}: c1 = 2, c2 = 1, higher c vanish; p_m = 1^m + 1^m = 2
     values = [2, 1, 0, 0, 0, 0]

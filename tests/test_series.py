@@ -15,6 +15,7 @@ from hirzebruch.series import (
     log_series,
     series_from_json,
     series_to_json,
+    truncated_product,
 )
 
 ORDER = 12
@@ -76,6 +77,22 @@ def test_multiply_todd_against_direct_convolution():
     assert expected[1] == 1 and all(not c for c in expected[:1] + expected[2:])
     for k in range(order + 1):
         assert prod.coefficient_or_zero(k) == expected[k]
+
+
+def naive_product(a, b):
+    size = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-20, 20), min_size=1, max_size=9),
+       st.lists(st.integers(-20, 20), min_size=1, max_size=9))
+def test_truncated_product_ints_gaussians_and_naive_agree(a, b):
+    ints = truncated_product(a, b)
+    gaussians = truncated_product([GaussianRational(x) for x in a],
+                                  [GaussianRational(x) for x in b])
+    assert len(ints) == len(gaussians) == min(len(a), len(b))
+    assert ints == gaussians == naive_product(a, b)
 
 
 # -- divide ------------------------------------------------------------------
@@ -235,6 +252,24 @@ def test_zero_series_keeps_knowledge_horizon():
     z = LaurentSeries(-2, [0, 0, 0, 0])
     assert z.is_zero
     assert z.order == 1
+
+
+# -- equality ------------------------------------------------------------------
+
+def test_equality_needs_equal_known_ranges():
+    assert PowerSeries([1]) != PowerSeries([1, 99])
+    assert PowerSeries([1, 0]) != PowerSeries([1])
+    assert LaurentSeries(-1, [1, 2]) != LaurentSeries(-1, [1, 2, 3])
+    assert PowerSeries([1, 2]) == LaurentSeries(0, [1, 2])
+    assert PowerSeries([1, 2]) != LaurentSeries(0, [1, 2, 0])
+
+
+def test_scalar_compares_as_constant_known_to_the_series_order():
+    assert PowerSeries([3, 0, 0]) == 3
+    assert 3 == LaurentSeries(0, [3, 0, 0])
+    assert PowerSeries([3, 0, 1]) != 3
+    assert LaurentSeries(-2, [0, 0, 3]) == 3
+    assert LaurentSeries(-2, [1, 0, 3]) != 3
 
 
 # -- algebraic laws ------------------------------------------------------------------
