@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
-from .series import InsufficientOrderError, PowerSeries, series_from_json
+from .series import InsufficientOrderError, PowerSeries, exp_series, log_series, series_from_json
 
 DEFAULT_ORDER = 16
 
@@ -156,31 +156,18 @@ def construct(spec: SeriesSpec, order: int = DEFAULT_ORDER) -> CharacteristicSer
 
 
 def h_n(H: CharacteristicSeries, n: int) -> GaussianRational:
-    """The genus of complex projective n-space: the t^n coefficient of H^(n+1)."""
+    """The genus of complex projective n-space: the t^n coefficient of
+    H^(n+1), read off exp((n+1)*log H). Exact, since H(0) = 1; O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if H.order < n:
-        raise InsufficientOrderError(f"need order >= {n}, have {H.order}")
-    base = H.series.truncate(n)
-    result = PowerSeries.constant(1, n)
-    e = n + 1
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result.coefficient(n)
+    return exp_series((n + 1) * log_series(H.series.truncate(n))).coefficient(n)
 
 
 def novikov_g(H: CharacteristicSeries, order: int) -> PowerSeries:
     """The logarithm sum: coefficient of t^(n+1) is h_n/(n+1)."""
     if H.order < order:
         raise InsufficientOrderError(f"need order >= {order}, have {H.order}")
-    coeffs = [GR_ZERO]
-    for n in range(order):
-        coeffs.append(h_n(H, n) / (n + 1))
-    return PowerSeries(coeffs)
+    return PowerSeries([GR_ZERO] + [h_n(H, n) / (n + 1) for n in range(order)])
 
 
 class NovikovCheck(NamedTuple):
@@ -190,8 +177,6 @@ class NovikovCheck(NamedTuple):
 
 def verify_novikov(H: CharacteristicSeries, order: int) -> NovikovCheck:
     """Check that the reversion of t/H(t) equals the logarithm sum."""
-    if H.order < order:
-        raise InsufficientOrderError(f"need order >= {order}, have {H.order}")
     inv = H.series.truncate(order).inverse()
     t_over_h = PowerSeries((GR_ZERO,) + inv.coeffs[:order])
     lhs = t_over_h.reversion()

@@ -2,21 +2,20 @@
 
 The degree-n piece K_n of the sequence attached to a characteristic
 series H is computed through power sums: with s_m the coefficients of
-log H and p_m the Newton power sums in c_1..c_m, the generating function
-of the K_n is exp(sum_m s_m p_m t^m).
+log H and p_m the power sums in c_1..c_m (from log(1 + c_1 t + ...)),
+the generating function of the K_n is exp(sum_m s_m p_m t^m).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian
-from .series import InsufficientOrderError, log_series
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, parse_gaussian
+from .series import exp_coefficients, log_coefficients, log_series
 
 Partition = Tuple[int, ...]
 
@@ -47,25 +46,34 @@ def partitions(n: int) -> Tuple[Partition, ...]:
     return tuple(out)
 
 
+def _by_partition(degree: int, pairs: Iterable) -> Dict[Partition, GaussianRational]:
+    """{partition: value} of (parts, value) pairs of weight `degree`; two
+    pairs naming the same partition are an error, not merged."""
+    out: Dict[Partition, GaussianRational] = {}
+    for key, value in pairs:
+        if sum(key) != degree:
+            raise ValueError(f"partition {tuple(key)} has weight {sum(key)}, expected {degree}")
+        lam = make_partition(key)
+        if lam in out:
+            raise ValueError(f"partition {list(lam)} is given twice")
+        out[lam] = as_gaussian(value)
+    return out
+
+
 class GradedPoly:
     """A homogeneous polynomial in c_1, c_2, ... indexed by partitions.
 
     `terms` is a read-only view, so cached values (power_sum) can be
-    handed out without sharing mutable state.
+    handed out without sharing mutable state. No __bool__: a zero piece
+    stays a GradedPoly.
     """
 
     __slots__ = ("degree", "terms")
 
     def __init__(self, degree: int, terms: Mapping[Partition, object] = ()):
         self.degree = degree
-        clean: Dict[Partition, GaussianRational] = {}
-        for key, value in dict(terms).items():
-            if sum(key) != degree:
-                raise ValueError(f"partition {key} has weight {sum(key)}, expected {degree}")
-            v = as_gaussian(value)
-            if v:
-                clean[make_partition(key)] = v
-        self.terms = MappingProxyType(clean)
+        clean = _by_partition(degree, dict(terms).items())
+        self.terms = MappingProxyType({lam: v for lam, v in clean.items() if v})
 
     def __getitem__(self, key: Sequence[int]) -> GaussianRational:
         return self.terms.get(make_partition(key), GR_ZERO)
@@ -77,6 +85,10 @@ class GradedPoly:
         for key, value in other.terms.items():
             terms[key] = terms.get(key, GR_ZERO) + value
         return GradedPoly(self.degree, terms)
+
+    def __radd__(self, other: int) -> "GradedPoly":
+        """0 + self, so sums can start from the int 0."""
+        return self if isinstance(other, int) and other == 0 else NotImplemented
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-1) * other
@@ -128,18 +140,12 @@ def chern_class(j: int) -> GradedPoly:
 
 @lru_cache(maxsize=None)
 def power_sum(m: int) -> GradedPoly:
-    """Newton power sum p_m as a polynomial in c_1..c_m."""
+    """Power sum p_m as a polynomial in c_1..c_m: (-1)^(m-1)*m times the
+    t^m coefficient of log(1 + c_1 t + ... + c_m t^m)."""
     if m < 1:
         raise ValueError("power sums are defined for m >= 1")
-    if m == 1:
-        return chern_class(1)
-    # p_m = c_1 p_{m-1} - c_2 p_{m-2} + ... + (-1)^(m-1) m c_m
-    acc = GradedPoly(m)
-    sign = 1
-    for i in range(1, m):
-        acc = acc + sign * (chern_class(i) * power_sum(m - i))
-        sign = -sign
-    return acc + sign * m * chern_class(m)
+    q = log_coefficients([None] + [chern_class(j) for j in range(1, m + 1)])
+    return (-1) ** (m - 1) * m * q[m]
 
 
 def multiplicative_sequence(H: CharacteristicSeries, n: int) -> GradedPoly:
@@ -148,21 +154,13 @@ def multiplicative_sequence(H: CharacteristicSeries, n: int) -> GradedPoly:
 
 
 def k_polynomials(H: CharacteristicSeries, n: int) -> List[GradedPoly]:
-    """K_0..K_n for the multiplicative sequence of H."""
+    """K_0..K_n for the multiplicative sequence of H: the exp recurrence
+    applied to a_m = s_m * p_m, with s = log H."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if H.order < n:
-        raise InsufficientOrderError(f"need order >= {n}, have {H.order}")
-    s = log_series(H.series.truncate(n)) if n >= 1 else None
-    # A_m = s_m * p_m; K solves K' = (sum m A_m t^(m-1)) K
-    a = [None] + [s.coefficient(m) * power_sum(m) for m in range(1, n + 1)] if n else [None]
-    ks = [GradedPoly(0, {(): GR_ONE})]
-    for m in range(1, n + 1):
-        acc = GradedPoly(m)
-        for j in range(1, m + 1):
-            acc = acc + j * (a[j] * ks[m - j])
-        ks.append(Fraction(1, m) * acc)
-    return ks
+    s = log_series(H.series.truncate(n))
+    a = [None] + [s.coefficient(m) * power_sum(m) for m in range(1, n + 1)]
+    return exp_coefficients(a, GradedPoly(0, {(): GR_ONE}))
 
 
 @dataclass(frozen=True)
@@ -173,13 +171,8 @@ class ChernData:
     numbers: Mapping[Partition, GaussianRational]
 
     def __post_init__(self):
-        clean = {}
-        for key, value in dict(self.numbers).items():
-            if sum(key) != self.dimension:
-                raise ValueError(f"Chern number index {key} has weight {sum(key)}, "
-                                 f"expected {self.dimension}")
-            clean[make_partition(key)] = as_gaussian(value)
-        object.__setattr__(self, "numbers", clean)
+        numbers = _by_partition(self.dimension, dict(self.numbers).items())
+        object.__setattr__(self, "numbers", numbers)
 
     def __getitem__(self, key: Sequence[int]) -> GaussianRational:
         return self.numbers.get(make_partition(key), GR_ZERO)
@@ -226,7 +219,8 @@ def chern_data_from_json(data: dict) -> ChernData:
     try:
         dimension = int(data["dimension"])
         entries = data["numbers"]
-        numbers = {make_partition(e["partition"]): _parse_value(e["value"]) for e in entries}
+        numbers = _by_partition(dimension, [(e["partition"], parse_gaussian(str(e["value"])))
+                                           for e in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Chern data file: {exc}") from exc
     return ChernData(dimension, numbers)
@@ -238,8 +232,3 @@ def graded_poly_to_json(K: GradedPoly) -> dict:
         "terms": [{"partition": list(lam), "value": str(v)} for lam, v in K.items_sorted()],
     }
 
-
-def _parse_value(text) -> GaussianRational:
-    from .gaussian import parse_gaussian
-
-    return parse_gaussian(str(text))

@@ -233,9 +233,15 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
     distinct tuples in [-4, 4] when m <= 2, plus fixed gapped tuples)
     and `trials` seeded-random distinct tuples in [-20, 20]; it stops at
     the first nonconstant result. The gapped tuples cover max_n up to 6.
+    Weights enter as differences w_j - w_i, so the degree-1 coefficient is
+    always zero: `order` must be at least 2, or every series passes.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
+    if order < 2:
+        raise ValueError("ar_check order must be at least 2; below it every series passes")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
     if max_n > _MAX_N:
         raise ValueError(f"max_n must be at most {_MAX_N}, the largest CP^m "
                          f"the gapped weight tuples cover")

@@ -63,6 +63,40 @@ def truncated_product(a: Sequence[R], b: Sequence[R]) -> List[R]:
     return out
 
 
+def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
+    """exp(a_1 t + a_2 t^2 + ...) to degree len(a) - 1; a[0] is not read, e_0 is `one`.
+
+    k*e_k = sum_{j=1..k} (j*a_j)*e_{k-j}, from E' = A'E, with the j*a_j
+    formed once. Sums start from the int 0 and 1/k is a Fraction, so Q(i)
+    and GradedPoly coefficients share the loop.
+    """
+    ja = [0] + [j * a[j] for j in range(1, len(a))]
+    out = [one]
+    for k in range(1, len(a)):
+        acc = 0
+        for j in range(1, k + 1):
+            if ja[j]:
+                acc += ja[j] * out[k - j]
+        out.append(acc * Fraction(1, k))
+    return out
+
+
+def log_coefficients(g: Sequence[R]) -> List[R]:
+    """q = log g to degree len(g) - 1; g[0] is taken as 1 and not read, q_0 is the int 0.
+
+    k*q_k = k*g_k - sum_{j=1..k-1} (j*q_j)*g_{k-j}, from t*g' = (t*q')*g,
+    keeping the j*q_j; 1/k is a Fraction, as in exp_coefficients.
+    """
+    kq = [0]
+    for k in range(1, len(g)):
+        acc = k * g[k]
+        for j in range(1, k):
+            if g[k - j]:
+                acc = acc - kq[j] * g[k - j]
+        kq.append(acc)
+    return [0] + [kq[k] * Fraction(1, k) for k in range(1, len(kq))]
+
+
 def _scaled(coeffs: Sequence[R], w: R, power: R) -> List[R]:
     """coeffs[k] * power * w^k for each k: the substitution t -> w*t."""
     out = []
@@ -109,7 +143,7 @@ class PowerSeries:
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
-            raise InsufficientOrderError(f"cannot extend order {self.order} to {order}")
+            raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < 0:
             raise ValueError("power series order must be nonnegative")
         return PowerSeries(self.coeffs[: order + 1])
@@ -261,7 +295,7 @@ class LaurentSeries:
 
     def truncate(self, order: int) -> "LaurentSeries":
         if order > self.order:
-            raise InsufficientOrderError(f"cannot extend order {self.order} to {order}")
+            raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < self.valuation:
             return LaurentSeries(order, [GR_ZERO])
         return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation + 1])
@@ -372,30 +406,14 @@ def exp_series(f: PowerSeries) -> PowerSeries:
     """exp of a series with zero constant term."""
     if f.coeffs[0]:
         raise ValueError("exp_series requires zero constant term")
-    n = f.order
-    out = [GR_ONE]
-    for k in range(1, n + 1):
-        acc = GR_ZERO
-        for j in range(1, k + 1):
-            if f.coeffs[j]:
-                acc = acc + as_gaussian(j) * f.coeffs[j] * out[k - j]
-        out.append(acc / k)
-    return PowerSeries(out)
+    return PowerSeries(exp_coefficients(f.coeffs, GR_ONE))
 
 
 def log_series(g: PowerSeries) -> PowerSeries:
     """log of a series with constant term 1."""
     if g.coeffs[0] != GR_ONE:
         raise ValueError("log_series requires constant term 1")
-    n = g.order
-    out = [GR_ZERO]
-    for k in range(1, n + 1):
-        acc = as_gaussian(k) * g.coeffs[k]
-        for j in range(1, k):
-            if g.coeffs[k - j]:
-                acc = acc - as_gaussian(j) * out[j] * g.coeffs[k - j]
-        out.append(acc / k)
-    return PowerSeries(out)
+    return PowerSeries(log_coefficients(g.coeffs))
 
 
 # -- text rendering ----------------------------------------------------------

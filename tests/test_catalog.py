@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzebruch.catalog import (
     CharacteristicSeries,
@@ -16,7 +18,7 @@ from hirzebruch.catalog import (
     verify_novikov,
 )
 from hirzebruch.gaussian import GR_I, GaussianRational, as_gaussian
-from hirzebruch.series import InsufficientOrderError, PowerSeries
+from hirzebruch.series import InsufficientOrderError, PowerSeries, truncated_product
 
 
 def rand_fraction(rng, nonzero=False):
@@ -184,6 +186,25 @@ def test_h_n_euler():
 def test_h_n_signature_cp2():
     H = construct(parse_spec("txy:x=1,y=1"), 4)
     assert h_n(H, 2) == 1
+
+
+small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
+
+
+@pytest.mark.parametrize("coeff", [small_rationals, gaussians], ids=["real", "complex"])
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=0, max_value=10), data=st.data())
+def test_h_n_matches_repeated_truncated_product(coeff, n, data):
+    # h_n reads log H, as K_n does, so the (n+1)-th power is rebuilt
+    # here by plain truncated products, independently of exp and log.
+    coeffs = [1] + data.draw(st.lists(coeff, min_size=max(n, 2), max_size=max(n, 2)))
+    H = CharacteristicSeries(PowerSeries(coeffs))
+    head = [as_gaussian(c) for c in coeffs[: n + 1]]
+    power = head
+    for _ in range(n):
+        power = truncated_product(power, head)
+    assert h_n(H, n) == power[n]
 
 
 def test_h_n_insufficient_order():

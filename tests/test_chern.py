@@ -7,6 +7,7 @@ from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n,
 from hirzebruch.chern import (
     ChernData,
     GradedPoly,
+    chern_class,
     chern_data_from_json,
     chern_data_to_json,
     cpn_chern_numbers,
@@ -18,7 +19,7 @@ from hirzebruch.chern import (
     power_sum,
 )
 from hirzebruch.gaussian import GaussianRational
-from hirzebruch.series import PowerSeries
+from hirzebruch.series import PowerSeries, exp_coefficients, log_coefficients
 
 
 def rand_fraction(rng):
@@ -195,6 +196,43 @@ def test_chern_data_json_roundtrip():
     X = cpn_chern_numbers(3)
     data = chern_data_to_json(X)
     assert chern_data_from_json(data) == X
+
+
+def test_graded_poly_rejects_a_partition_given_twice():
+    with pytest.raises(ValueError, match="twice"):
+        GradedPoly(3, {(1, 2): 1, (2, 1): 5})
+    with pytest.raises(ValueError, match="twice"):
+        GradedPoly(3, {(1, 2): 0, (2, 1): 5})
+
+
+def test_chern_data_file_rejects_a_partition_listed_twice():
+    data = {"dimension": 2, "numbers": [{"partition": [1, 1], "value": "9"},
+                                        {"partition": [1, 1], "value": "5"},
+                                        {"partition": [2], "value": "3"}]}
+    with pytest.raises(ValueError, match=r"\[1, 1\] is given twice"):
+        chern_data_from_json(data)
+
+
+def test_graded_poly_sums_start_from_int_zero():
+    p2 = power_sum(2)
+    assert 0 + p2 is p2
+    assert sum([p2, p2]) == 2 * p2
+    with pytest.raises(TypeError):
+        1 + p2
+
+
+def test_exp_kernel_undoes_log_kernel_over_graded_polys():
+    one = GradedPoly(0, {(): 1})
+    total_chern = [one] + [chern_class(j) for j in range(1, 7)]
+    assert exp_coefficients(log_coefficients(total_chern), one) == total_chern
+
+
+def test_zero_k_n_stays_a_graded_poly():
+    H = construct(parse_spec("euler:a=0"), 4)
+    ks = k_polynomials(H, 4)
+    assert [K.degree for K in ks] == [0, 1, 2, 3, 4]
+    assert ks[0] == GradedPoly(0, {(): 1})
+    assert all(isinstance(K, GradedPoly) and not K.terms for K in ks[1:])
 
 
 def test_chern_data_validation():

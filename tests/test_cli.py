@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hirzebruch.cli import main
 
 
@@ -104,6 +106,25 @@ def test_rigidity_pass_and_fail(capsys, tmp_path):
 def test_rigidity_rejects_max_n_beyond_the_tuple_pool(capsys):
     code, out, err = run(capsys, "rigidity", "--series", "todd", "--max-n", "7")
     assert code == 1 and out == "" and "max_n must be at most 6" in err
+
+
+@pytest.mark.parametrize("extra", [["--order", "1"], ["--order", "-1", "--max-n", "3"],
+                                   ["--trials", "-4"]])
+def test_rigidity_rejects_vacuous_orders_and_negative_trials(capsys, extra):
+    code, out, err = run(capsys, "rigidity", "--series", "dab:a=1,b=1/2", *extra)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_chern_data_with_a_partition_listed_twice_is_a_usage_error(capsys, tmp_path):
+    data = {"dimension": 2, "numbers": [
+        {"partition": [1, 1], "value": "9"},
+        {"partition": [1, 1], "value": "5"},
+        {"partition": [2], "value": "3"},
+    ]}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "chern", "--series", "todd", "--data", str(path))
+    assert code == 1 and out == "" and "given twice" in err
 
 
 def test_classify_text_and_expectation(capsys):

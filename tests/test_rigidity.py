@@ -5,6 +5,7 @@ import pytest
 
 from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n, parse_spec
 from hirzebruch.gaussian import GR_I, GaussianRational
+from hirzebruch.localization import cpn_fixed_points, equivariant_genus
 from hirzebruch.rigidity import (
     _MAX_N,
     NotEvenSeriesError,
@@ -224,6 +225,33 @@ def test_ar_check_insufficient_order():
     H = construct(parse_spec("todd"), 10)
     with pytest.raises(InsufficientOrderError):
         ar_check(H, max_n=3, order=8)
+
+
+NOT_GT = [1, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7), Fraction(3, 4)]
+
+
+@pytest.mark.parametrize("order", [-1, 0, 1])
+def test_ar_check_rejects_orders_below_two(order):
+    H = padded(NOT_GT, 8)
+    with pytest.raises(ValueError, match="at least 2"):
+        ar_check(H, max_n=3, order=order, trials=5)
+
+
+def test_ar_check_rejects_negative_trials():
+    H = construct(parse_spec("todd"), 16)
+    with pytest.raises(ValueError, match="trials"):
+        ar_check(H, max_n=1, order=8, trials=-4)
+
+
+def test_non_gt_series_fails_at_order_two_but_degree_one_never_moves():
+    H = padded(NOT_GT, 8)
+    assert not classify(H).is_gt
+    report = ar_check(H, max_n=3, order=2, trials=5)
+    assert not report.passed and report.witness[1] == 2
+    # why orders below 2 are refused: the degree-1 coefficient is always 0
+    for weights in [(0, 1), (3, -5), (0, 1, 3), (-2, 7, 4, 11)]:
+        s = equivariant_genus(H, cpn_fixed_points(weights), 1)
+        assert s.valuation >= 0 and not s.coefficient(1), weights
 
 
 @pytest.mark.parametrize("m", range(1, _MAX_N + 1))
