@@ -7,14 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from .catalog import (
     DEFAULT_ORDER,
     FAMILIES,
-    CharacteristicSeries,
     closed_form_cpn,
     construct,
     format_spec,
@@ -53,19 +51,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
-def default_order() -> int:
-    raw = os.environ.get("GENUS_DEFAULT_ORDER")
-    if raw is None:
-        return DEFAULT_ORDER
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"GENUS_DEFAULT_ORDER must be an integer, got {raw!r}")
-    if value < 2:
-        raise UsageError("GENUS_DEFAULT_ORDER must be at least 2")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="genus", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -74,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="print the coefficients of a series")
     p.add_argument("--series", required=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("cpn", help="genus of complex projective n-space")
@@ -93,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--input", help="fixed-point JSON file")
     p.add_argument("--weights", help="comma-separated CP^n weights, e.g. 0,1,3")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("rigidity", help="algebraic rigidity sampling check")
@@ -108,14 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True)
     p.add_argument("--oriented", action="store_true")
     p.add_argument("--expect-gt", action="store_true")
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
     p.add_argument("--json", action="store_true")
 
     return parser
-
-
-def _load_series(text: str, order: int) -> CharacteristicSeries:
-    return construct(parse_spec(text), order)
 
 
 def _cmd_catalog(args) -> int:
@@ -131,8 +112,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    order = args.order if args.order is not None else default_order()
-    H = _load_series(args.series, order)
+    H = construct(parse_spec(args.series), args.order)
     if args.json:
         print(json.dumps(series_to_json(H.series)))
     else:
@@ -163,19 +143,19 @@ def _cmd_chern(args) -> int:
     if args.kn is not None:
         if args.kn < 0:
             raise UsageError("--kn must be nonnegative")
-        H = _load_series(args.series, max(args.kn, 2))
+        H = construct(parse_spec(args.series), max(args.kn, 2))
         K = multiplicative_sequence(H, args.kn)
         if args.json:
             print(json.dumps(graded_poly_to_json(K)))
         elif not K.terms:
-            print("0")
+            print(f"[{args.kn}]: 0")
         else:
             for lam, value in K.items_sorted():
                 print(f"{list(lam)}: {format_gaussian(value)}")
         return EXIT_OK
     with open(args.data) as fh:
         X = chern_data_from_json(json.load(fh))
-    H = _load_series(args.series, max(X.dimension, 2))
+    H = construct(parse_spec(args.series), max(X.dimension, 2))
     K = multiplicative_sequence(H, X.dimension)
     print(format_gaussian(evaluate_genus(K, X)))
     return EXIT_OK
@@ -193,9 +173,8 @@ def _cmd_localize(args) -> int:
     else:
         with open(args.input) as fh:
             fps = fixed_points_from_json(json.load(fh))
-    order = args.order if args.order is not None else default_order()
-    H = _load_series(args.series, order + fps.n)
-    s = equivariant_genus(H, fps, order)
+    H = construct(parse_spec(args.series), args.order + fps.n)
+    s = equivariant_genus(H, fps, args.order)
     if args.json:
         print(json.dumps(series_to_json(s)))
     else:
@@ -204,7 +183,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
-    H = _load_series(args.series, args.order + args.max_n)
+    H = construct(parse_spec(args.series), args.order + args.max_n)
     report = ar_check(H, args.max_n, args.order, args.trials, args.seed)
     if args.json:
         print(json.dumps(report.to_json()))
@@ -219,8 +198,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    order = args.order if args.order is not None else default_order()
-    H = _load_series(args.series, order)
+    H = construct(parse_spec(args.series), args.order)
     try:
         report = classify_oriented(H) if args.oriented else classify(H)
     except NotEvenSeriesError as exc:
@@ -268,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,7 +9,6 @@ import math
 from fractions import Fraction
 from typing import Optional, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction, "GaussianRational"]
 
 _F0 = Fraction(0)

@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
 from .gaussian import GR_ZERO, GaussianRational, as_gaussian
-from .series import InsufficientOrderError, LaurentSeries, _scaled, truncated_product
+from .series import LaurentSeries, _scaled, truncated_product
 
 
 @dataclass(frozen=True)
@@ -99,28 +99,24 @@ def equivariant_genus(H: CharacteristicSeries, fps: FixedPointSet,
     Each factor F_H(w*t) shifts the valuation by -1, so H must be known
     to order `order + n` where n is the number of weights per point.
     """
-    n = fps.n
-    need = order + n
-    if H.order < need:
-        raise InsufficientOrderError(
-            f"equivariant genus at order {order} with {n} weights needs "
-            f"H to order {need}, have {H.order}")
-    coeffs = H.series.coeffs[: need + 1]
+    coeffs = H.series.truncate(max(order + fps.n, 0)).coeffs
     if all(c.is_real for c in coeffs):
-        return _localize_rational([c.re for c in coeffs], fps, order)
-    return _localize_generic(coeffs, fps, order)
+        total = _localize_rational([c.re for c in coeffs], fps)
+    else:
+        total = _localize_generic(coeffs, fps)
+    return total.truncate(order)
 
 
-def _localize_generic(coeffs, fps: FixedPointSet, order: int) -> LaurentSeries:
+def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
     f = LaurentSeries(-1, coeffs)
-    total = LaurentSeries(order, [GR_ZERO])
+    total = LaurentSeries(len(coeffs) - 1 - fps.n, [GR_ZERO])
     for p in fps.points:
         prod = None
         for w in p.weights:
             factor = f.scale_argument(w)
             prod = factor if prod is None else prod * factor
         total = total + p.sign * prod
-    return total.truncate(order)
+    return total
 
 
 @lru_cache(maxsize=64)
@@ -142,19 +138,13 @@ def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...]) -> Tuple[int
     return tuple(conv)
 
 
-def _localize_rational(fracs: List[Fraction], fps: FixedPointSet,
-                       order: int) -> LaurentSeries:
+def _localize_rational(fracs: List[Fraction], fps: FixedPointSet) -> LaurentSeries:
     """Integer fast path for real-coefficient series; exact."""
     n = fps.n
     den, nums = _integerize(tuple(fracs))
-    size = len(nums)  # degrees -n .. order, shifted by n
+    size = len(nums)  # degrees -n .. len(nums) - 1 - n, shifted by n
     base = den ** n
-    wprods = []
-    for p in fps.points:
-        wprod = 1
-        for w in p.weights:
-            wprod *= w
-        wprods.append(wprod)
+    wprods = [math.prod(p.weights) for p in fps.points]
     shared = math.lcm(*(abs(w) for w in wprods))
     totals = [0] * size
     for p, wprod in zip(fps.points, wprods):

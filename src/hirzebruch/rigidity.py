@@ -31,29 +31,25 @@ class NotEvenSeriesError(ValueError):
 
 
 def ar1_residual(H: CharacteristicSeries, order: int) -> PowerSeries:
-    """f(t) + f(-t) - h1 with f = H(t)/t; zero iff H - r1*t is even."""
-    if H.order < order:
-        raise InsufficientOrderError(f"need order >= {order}, have {H.order}")
-    f = LaurentSeries(-1, H.series.coeffs)
-    residual = f + f.scale_argument(-1) - 2 * H.r(1)
-    return residual.truncate(min(order, H.order - 1)).power_part()
+    """f(t) + f(-t) - h1 with f = H(t)/t, known to `order`; zero iff
+    H - r1*t is even. Needs H to order `order + 1`."""
+    f = LaurentSeries(-1, H.series.truncate(order + 1).coeffs)
+    return (f + f.scale_argument(-1) - 2 * H.r(1)).power_part()
 
 
 def lemma41_residual(H: CharacteristicSeries, order: int) -> LaurentSeries:
-    """F(-t)^2 + h1*F(t) + F'(t) - h2 with F = H(t)/t.
+    """F(-t)^2 + h1*F(t) + F'(t) - h2 with F = H(t)/t, known to `order`;
+    needs H to order `order + 2`.
 
     Identically zero on the known range exactly when the order-2 rigidity
     functional equation holds; its value at distinct weights also covers
     the degenerate CP^2 action with a repeated weight.
     """
-    if H.order < order + 2:
-        raise InsufficientOrderError(f"need order >= {order + 2}, have {H.order}")
-    f = LaurentSeries(-1, H.series.coeffs)
+    f = LaurentSeries(-1, H.series.truncate(order + 2).coeffs)
     fm = f.scale_argument(-1)
     h1 = 2 * H.r(1)
     h2 = h_n(H, 2)
-    residual = fm * fm + h1 * f + f.derivative() - h2
-    return residual.truncate(order)
+    return fm * fm + h1 * f + f.derivative() - h2
 
 
 def reconstruct(r1: GaussianRational, h2: GaussianRational, order: int) -> PowerSeries:

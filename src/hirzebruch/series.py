@@ -142,6 +142,8 @@ class PowerSeries:
         return self.coeffs[k]
 
     def truncate(self, order: int) -> "PowerSeries":
+        if order == self.order:
+            return self
         if order > self.order:
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < 0:
@@ -294,6 +296,8 @@ class LaurentSeries:
         return self.coeffs[k - self.valuation]
 
     def truncate(self, order: int) -> "LaurentSeries":
+        if order == self.order:
+            return self
         if order > self.order:
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < self.valuation:

@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from hirzebruch.catalog import construct, h_n, parse_spec
+from hirzebruch.chern import cpn_chern_numbers
 from hirzebruch.cli import main
+from hirzebruch.gaussian import parse_gaussian
 
 
 def run(capsys, *argv):
@@ -55,6 +58,25 @@ def test_chern_kn_dump(capsys):
     code, out, _ = run(capsys, "chern", "--series", "todd", "--kn", "2")
     assert code == 0
     assert "[1, 1]: 1/12" in out and "[2]: 1/12" in out
+
+
+@pytest.mark.parametrize("spec", ["euler:a=0", "gab:a=1,b=0", "dab:a=1,b=0", "txy:x=-8/7,y=-8/7"])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_chern_kn_text_lines_pair_to_h_n(capsys, spec, n):
+    # Even series have zero odd K_n; the text form must still print one
+    # `partition: value` line, which pairs with CP^n to h_n like any other.
+    code, out, _ = run(capsys, "chern", "--series", spec, "--kn", str(n))
+    assert code == 0
+    lines = out.splitlines()
+    assert lines
+    numbers = cpn_chern_numbers(n).numbers
+    total = 0
+    for line in lines:
+        key, sep, value = line.partition(": ")
+        partition = tuple(json.loads(key))
+        assert sep and sum(partition) == n
+        total += parse_gaussian(value) * numbers[partition]
+    assert total == h_n(construct(parse_spec(spec), max(n, 2)), n)
 
 
 def test_chern_data_evaluation(capsys, tmp_path):
@@ -181,12 +203,3 @@ def test_determinism(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
-
-
-def test_default_order_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("GENUS_DEFAULT_ORDER", "6")
-    code, out, _ = run(capsys, "expand", "--series", "todd")
-    assert code == 0
-    assert len(out.strip().split(", ")) == 7
-    monkeypatch.setenv("GENUS_DEFAULT_ORDER", "junk")
-    assert run(capsys, "expand", "--series", "todd")[0] == 1

@@ -28,7 +28,6 @@ def input_paths(tmp_path_factory):
 
 
 @pytest.mark.parametrize("case", GOLDEN["cases"], ids=lambda c: " ".join(c["args"]))
-def test_cli_golden(case, input_paths, capsys, monkeypatch):
-    monkeypatch.delenv("GENUS_DEFAULT_ORDER", raising=False)
+def test_cli_golden(case, input_paths, capsys):
     code = main([arg.format(**input_paths) for arg in case["args"]])
     assert (code, capsys.readouterr().out) == (case["exit"], case["stdout"])

@@ -27,6 +27,11 @@ def rand_series(rng, order):
     return CharacteristicSeries(PowerSeries([1] + [rand_fraction(rng) for _ in range(order)]))
 
 
+def rand_complex_series(rng, order):
+    return CharacteristicSeries(PowerSeries(
+        [1] + [GaussianRational(rand_fraction(rng), rand_fraction(rng) or 1) for _ in range(order)]))
+
+
 # -- fixed-point data ---------------------------------------------------------
 
 def test_cpn_fixed_points_cp1():
@@ -136,13 +141,18 @@ def test_rigid_txy_equals_signed_sum():
         assert s == ahbr_value(x, y, fps)
 
 
-def test_fast_and_generic_paths_agree():
+@pytest.mark.parametrize("complex_h", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("order", range(-5, 9))
+def test_fast_and_generic_paths_agree(order, complex_h):
+    # H is known to 10 and the action has n = 2, so 8 is the highest order;
+    # below -n the sum is the zero series known to `order`.
     rng = random.Random(29)
-    H = rand_series(rng, 10)
+    H = rand_complex_series(rng, 10) if complex_h else rand_series(rng, 10)
     fps = cpn_fixed_points([-2, 1, 4])
-    fast = equivariant_genus(H, fps, 6)
-    generic = _localize_generic(H.series.coeffs[:10], fps, 6)
-    assert fast == generic and fast.valuation == generic.valuation
+    s = equivariant_genus(H, fps, order)
+    generic = _localize_generic(H.series.coeffs, fps).truncate(order)
+    assert s == generic and s.valuation == generic.valuation
+    assert s.order == order
 
 
 def test_complex_series_uses_generic_path():

@@ -53,6 +53,14 @@ def test_ar1_trivial_series():
     assert ar1_residual(H, 5) == 0
 
 
+def test_ar1_needs_h_one_degree_past_the_order():
+    # f = H/t is known one degree below H, so order H.order would come out short
+    H = CharacteristicSeries(PowerSeries([1, 1, 1, 1]))
+    assert ar1_residual(H, 2).order == 2
+    with pytest.raises(InsufficientOrderError):
+        ar1_residual(H, H.order)
+
+
 # -- order-2 functional equation -------------------------------------------------
 
 def test_lemma41_euler():
@@ -79,6 +87,13 @@ def test_lemma41_insufficient_order():
     H = construct(parse_spec("todd"), 6)
     with pytest.raises(InsufficientOrderError):
         lemma41_residual(H, 5)
+
+
+@pytest.mark.parametrize("spec", ["todd", "dab:a=1/2+i,b=1/3", "ty:y=2"])
+def test_lemma41_residual_is_known_to_the_order_asked(spec):
+    H = construct(parse_spec(spec), 12)
+    for k in range(-2, 11):
+        assert lemma41_residual(H, k).order == k
 
 
 # -- ODE reconstruction ------------------------------------------------------------
