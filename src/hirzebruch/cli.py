@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from .catalog import (
@@ -51,7 +52,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `genus` parser, built on first use and shared by later calls."""
     parser = _Parser(prog="genus", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 

@@ -1,5 +1,8 @@
 """Exact arithmetic over the Gaussian rationals Q(i).
 
+A value (a + b*i)/d is held as three ints with d > 0 and gcd(a, b, d) = 1,
+so each value has one representation and every operation ends in one gcd
+(Knuth, TAOCP Vol. 2, 4.5.1). ``re`` and ``im`` read as ``Fraction``s.
 Values are immutable; every operation is exact. ``Fraction`` and ``int``
 mix freely with :class:`GaussianRational` in arithmetic expressions.
 """
@@ -7,112 +10,106 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_gcd = math.gcd
+_new = object.__new__
 
 
 class GaussianRational:
     """A number re + im*i with rational real and imaginary parts."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        z = from_parts(re.numerator * im.denominator, im.numerator * re.denominator,
+                       re.denominator * im.denominator)
+        self._a, self._b, self._d = z._a, z._b, z._d
 
-    @classmethod
-    def _make(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        z = object.__new__(cls)
-        z.re = re
-        z.im = im
-        return z
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     # -- predicates ------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     @property
     def is_real(self) -> bool:
-        return not self.im
+        return not self._b
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._make(self.re, -self.im)
+        return from_parts(self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
         """re**2 + im**2; zero iff the value is zero."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
+        c, e, f = _parts(other)
+        if f is None:
             return NotImplemented
-        return GaussianRational._make(self.re + other.re, self.im + other.im)
+        if not (c or e):
+            return self  # sums start from the int 0
+        a, b, d = self._a, self._b, self._d
+        return from_parts(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other: Scalar) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
+        c, e, f = _parts(other)
+        if f is None:
             return NotImplemented
-        return GaussianRational._make(self.re - other.re, self.im - other.im)
+        a, b, d = self._a, self._b, self._d
+        return from_parts(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other: Scalar) -> "GaussianRational":
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational._make(-self.re, -self.im)
+        return from_parts(-self._a, -self._b, self._d)
 
     def __mul__(self, other: Scalar) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
+        c, e, f = _parts(other)
+        if f is None:
             return NotImplemented
-        if not self.im and not other.im:
-            return GaussianRational._make(self.re * other.re, _F0)
-        return GaussianRational._make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, d = self._a, self._b, self._d
+        return from_parts(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: Scalar) -> "GaussianRational":
-        other = _coerce(other)
-        if other is NotImplemented:
+        c, e, f = _parts(other)
+        if f is None:
             return NotImplemented
-        if not other:
+        a, b, d = self._a, self._b, self._d
+        if e:  # times the conjugate: the denominator d*(c^2 + e^2) is positive
+            return from_parts((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+        if not c:
             raise ZeroDivisionError("division by zero in Q(i)")
-        if not self.im and not other.im:
-            return GaussianRational._make(self.re / other.re, _F0)
-        n = other.norm()
-        return GaussianRational._make(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return from_parts(-a * f, -b * f, -d * c) if c < 0 else from_parts(a * f, b * f, d * c)
 
     def __rtruediv__(self, other: Scalar) -> "GaussianRational":
         other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        return NotImplemented if other is NotImplemented else other / self
 
     def __pow__(self, exponent: int) -> "GaussianRational":
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return (GR_ONE / self) ** (-exponent)
-        result = GR_ONE
-        base = self
-        e = exponent
+        result, base, e = GR_ONE, self, exponent
         while e:
             if e & 1:
                 result = result * base
@@ -123,15 +120,12 @@ class GaussianRational:
     # -- comparison ------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        # both sides are in lowest terms, so equal values have equal parts
+        p = _parts(other)
+        return NotImplemented if p[2] is None else p == (self._a, self._b, self._d)
 
     def __hash__(self) -> int:
-        if not self.im:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash(self.re) if not self._b else hash((self.re, self.im))
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -150,11 +144,9 @@ class GaussianRational:
         if not y:
             r = _rational_sqrt(x)
             if r is not None:
-                return GaussianRational._make(r, _F0)
+                return GaussianRational(r)
             s = _rational_sqrt(-x)
-            if s is not None:
-                return GaussianRational._make(_F0, s)
-            return None
+            return None if s is None else GaussianRational(0, s)
         r = _rational_sqrt(x * x + y * y)
         if r is None:
             return None
@@ -164,18 +156,45 @@ class GaussianRational:
             return None
         if y < 0:
             v = -v
-        root = GaussianRational._make(u, v)
+        root = GaussianRational(u, v)
         if root * root != self:
             raise ArithmeticError(f"square root of {format_gaussian(self)} failed its check")
         return root
 
 
+def from_parts(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d in lowest terms, for any d > 0: the one normalising step."""
+    g = _gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def real_parts(z: GaussianRational) -> Tuple[int, int]:
+    """(numerator, denominator) of a real z in lowest terms, without a Fraction."""
+    return z._a, z._d
+
+
+def _parts(x: object) -> Tuple[Optional[int], Optional[int], Optional[int]]:
+    """(a, b, d) of a GaussianRational, int or Fraction; all None for other types."""
+    if type(x) is GaussianRational:
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None, None, None
+
+
 def _coerce(x: object):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational._make(Fraction(x), _F0)
-    return NotImplemented
+    a, b, d = _parts(x)
+    return NotImplemented if d is None else from_parts(a, b, d)
 
 
 def as_gaussian(x: Scalar) -> GaussianRational:
@@ -188,8 +207,7 @@ def as_gaussian(x: Scalar) -> GaussianRational:
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
     if q < 0:
         return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
+    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
@@ -198,18 +216,13 @@ def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
 # -- text form: "p/q", "p/q+r/si", "i" -----------------------------------
 
 def format_gaussian(z: GaussianRational) -> str:
-    if not z.im:
-        return str(z.re)
-    if z.im == 1:
-        imag = "i"
-    elif z.im == -1:
-        imag = "-i"
-    else:
-        imag = f"{z.im}i"
-    if not z.re:
+    re, im = z.re, z.im
+    if not im:
+        return str(re)
+    imag = "i" if im == 1 else "-i" if im == -1 else f"{im}i"
+    if not re:
         return imag
-    sign = "+" if z.im > 0 else ""
-    return f"{z.re}{sign}{imag}"
+    return f"{re}{'+' if im > 0 else ''}{imag}"
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -233,17 +246,12 @@ def parse_gaussian(text: str) -> GaussianRational:
             if im_part is not None:
                 raise ValueError(f"two imaginary parts in {text!r}")
             body = term[:-1]
-            if body in ("", "+"):
-                im_part = _F1
-            elif body == "-":
-                im_part = -_F1
-            else:
-                im_part = Fraction(body)
+            im_part = Fraction(body + "1" if body in ("", "+", "-") else body)
         else:
             if re_part is not None:
                 raise ValueError(f"two real parts in {text!r}")
             re_part = Fraction(term)
-    return GaussianRational._make(re_part or _F0, im_part or _F0)
+    return GaussianRational(re_part or 0, im_part or 0)
 
 
 GR_ZERO = GaussianRational(0)

@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .catalog import CharacteristicSeries
-from .gaussian import GR_ZERO, GaussianRational, as_gaussian
+from .gaussian import GR_ZERO, GaussianRational, as_gaussian, from_parts, real_parts
 from .series import LaurentSeries, _scaled, truncated_product
 
 
@@ -101,7 +100,7 @@ def equivariant_genus(H: CharacteristicSeries, fps: FixedPointSet,
     """
     coeffs = H.series.truncate(max(order + fps.n, 0)).coeffs
     if all(c.is_real for c in coeffs):
-        total = _localize_rational([c.re for c in coeffs], fps)
+        total = _localize_rational(tuple(real_parts(c) for c in coeffs), fps)
     else:
         total = _localize_generic(coeffs, fps)
     return total.truncate(order)
@@ -120,12 +119,16 @@ def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
 
 
 @lru_cache(maxsize=64)
-def _integerize(fracs: Tuple[Fraction, ...]) -> Tuple[int, Tuple[int, ...]]:
-    den = math.lcm(*(f.denominator for f in fracs))
-    return den, tuple(int(f * den) for f in fracs)
+def _integerize(ratios: Tuple[Tuple[int, int], ...]) -> Tuple[int, Tuple[int, ...]]:
+    """One common denominator for (numerator, denominator) pairs."""
+    den = math.lcm(*(d for _, d in ratios))
+    return den, tuple(a * (den // d) for a, d in ratios)
 
 
-@lru_cache(maxsize=4096)
+# Keys hold H's numerators, so hits come only from within one sweep; an
+# ar_check sweep with max_n <= 3 makes under 1024 distinct keys, and a
+# larger cache only grows the process across series.
+@lru_cache(maxsize=1024)
 def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...]) -> Tuple[int, ...]:
     """Truncated product of the integer factor sequences nums[k]*w^k.
 
@@ -138,10 +141,11 @@ def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...]) -> Tuple[int
     return tuple(conv)
 
 
-def _localize_rational(fracs: List[Fraction], fps: FixedPointSet) -> LaurentSeries:
+def _localize_rational(ratios: Tuple[Tuple[int, int], ...],
+                       fps: FixedPointSet) -> LaurentSeries:
     """Integer fast path for real-coefficient series; exact."""
     n = fps.n
-    den, nums = _integerize(tuple(fracs))
+    den, nums = _integerize(ratios)
     size = len(nums)  # degrees -n .. len(nums) - 1 - n, shifted by n
     base = den ** n
     wprods = [math.prod(p.weights) for p in fps.points]
@@ -155,7 +159,7 @@ def _localize_rational(fracs: List[Fraction], fps: FixedPointSet) -> LaurentSeri
             if conv[k]:
                 totals[k] += conv[k] * scale
     den_total = base * shared
-    return LaurentSeries(-n, [GaussianRational(Fraction(q, den_total)) for q in totals])
+    return LaurentSeries(-n, [from_parts(q, 0, den_total) for q in totals])
 
 
 # -- JSON files ----------------------------------------------------------------

@@ -148,7 +148,9 @@ class PowerSeries:
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < 0:
             raise ValueError("power series order must be nonnegative")
-        return PowerSeries(self.coeffs[: order + 1])
+        out = object.__new__(PowerSeries)  # the slice is already Q(i): no coercion pass
+        out.coeffs = self.coeffs[: order + 1]
+        return out
 
     # -- ring structure ----------------------------------------------------
 
@@ -302,7 +304,11 @@ class LaurentSeries:
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < self.valuation:
             return LaurentSeries(order, [GR_ZERO])
-        return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation + 1])
+        # the slice keeps the nonzero leading coefficient: already normalized
+        out = object.__new__(LaurentSeries)
+        out.valuation = self.valuation
+        out.coeffs = self.coeffs[: order - self.valuation + 1]
+        return out
 
     def power_part(self) -> PowerSeries:
         """View as a power series; fails on a nonzero principal part."""

@@ -4,7 +4,7 @@ import pytest
 
 from hirzebruch.catalog import construct, h_n, parse_spec
 from hirzebruch.chern import cpn_chern_numbers
-from hirzebruch.cli import main
+from hirzebruch.cli import build_parser, main
 from hirzebruch.gaussian import parse_gaussian
 
 
@@ -194,6 +194,14 @@ def test_usage_errors_exit_one(capsys):
     assert run(capsys, "chern", "--series", "todd")[0] == 1
     assert run(capsys, "localize", "--series", "todd", "--weights", "0,0")[0] == 1
     assert run(capsys, "expand", "--series", "file:/does/not/exist.json")[0] == 1
+
+
+def test_a_usage_error_leaves_the_shared_parser_intact(capsys):
+    assert build_parser() is build_parser()
+    alone = run(capsys, "expand", "--series", "todd")
+    assert alone[0] == 0
+    assert run(capsys, "expand", "--series", "todd", "--order", "x")[0] == 1
+    assert run(capsys, "expand", "--series", "todd") == alone
 
 
 def test_determinism(capsys):

@@ -7,12 +7,75 @@ from hypothesis import strategies as st
 from hirzebruch.gaussian import (
     GR_I,
     GaussianRational,
+    as_gaussian,
     format_gaussian,
     parse_gaussian,
 )
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+# every operand form the kernels use: the int 0 that sums start from,
+# 1/k from the exp and log recurrences, ints, Fractions and Q(i) values
+operands = st.one_of(st.just(0), st.builds(lambda k: Fraction(1, k), st.integers(1, 64)),
+                     st.integers(-10**6, 10**6), rationals, gaussians)
+
+
+def reference(x):
+    """(re, im) as a plain pair of Fractions."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    return Fraction(x), Fraction(0)
+
+
+def reference_result(op, x, y):
+    (a, b), (c, d) = reference(x), reference(y)
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def assert_canonical(z):
+    assert isinstance(z, GaussianRational)
+    # lowest terms: the value equals the one built from its own parts, and
+    # a real value equals (and hashes as) its Fraction
+    assert z == GaussianRational(z.re, z.im)
+    if z.is_real:
+        assert hash(z) == hash(z.re)
+        assert z == z.re and {z.re: "entry"}[z] == "entry"
+        if z.re.denominator == 1:
+            assert z == int(z.re) and {int(z.re): "entry"}[z] == "entry"
+    else:
+        assert hash(z) == hash((z.re, z.im))
+
+
+@given(operands, operands)
+def test_operations_match_a_fraction_pair_reference(x, y):
+    if not isinstance(x, GaussianRational) and not isinstance(y, GaussianRational):
+        y = as_gaussian(y)
+    ops = {"+": lambda p, q: p + q, "-": lambda p, q: p - q,
+           "*": lambda p, q: p * q, "/": lambda p, q: p / q}
+    for name, op in ops.items():
+        if name == "/" and not y:
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        z = op(x, y)
+        assert (z.re, z.im) == reference_result(name, x, y)
+        assert_canonical(z)
+
+
+@given(operands)
+def test_coerced_values_are_canonical(x):
+    z = as_gaussian(x)
+    assert reference(z) == reference(x)
+    assert_canonical(z)
+    assert_canonical(-z)
+    assert_canonical(z.conjugate())
 
 
 def test_basic_arithmetic():
