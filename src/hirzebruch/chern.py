@@ -63,17 +63,16 @@ def _by_partition(degree: int, pairs: Iterable) -> Dict[Partition, GaussianRatio
 class GradedPoly:
     """A homogeneous polynomial in c_1, c_2, ... indexed by partitions.
 
-    `terms` is a read-only view, so cached values (power_sum) can be
-    handed out without sharing mutable state. No __bool__: a zero piece
-    stays a GradedPoly.
+    `GradedPoly(degree, terms)` validates its input, then builds the value
+    with the trusted `_graded`, as `+` and `*` do. `terms` is a read-only
+    view, so cached values (power_sum) can be handed out without sharing
+    mutable state. No __bool__: a zero piece stays a GradedPoly.
     """
 
     __slots__ = ("degree", "terms")
 
-    def __init__(self, degree: int, terms: Mapping[Partition, object] = ()):
-        self.degree = degree
-        clean = _by_partition(degree, dict(terms).items())
-        self.terms = MappingProxyType({lam: v for lam, v in clean.items() if v})
+    def __new__(cls, degree: int, terms: Mapping[Partition, object] = ()):
+        return _graded(degree, _by_partition(degree, dict(terms).items()))
 
     def __getitem__(self, key: Sequence[int]) -> GaussianRational:
         return self.terms.get(make_partition(key), GR_ZERO)
@@ -84,7 +83,7 @@ class GradedPoly:
         terms = dict(self.terms)
         for key, value in other.terms.items():
             terms[key] = terms.get(key, GR_ZERO) + value
-        return GradedPoly(self.degree, terms)
+        return _graded(self.degree, terms)
 
     def __radd__(self, other: int) -> "GradedPoly":
         """0 + self, so sums can start from the int 0."""
@@ -98,11 +97,11 @@ class GradedPoly:
             terms: Dict[Partition, GaussianRational] = {}
             for k1, v1 in self.terms.items():
                 for k2, v2 in other.terms.items():
-                    key = make_partition(k1 + k2)
+                    key = tuple(sorted(k1 + k2, reverse=True))
                     terms[key] = terms.get(key, GR_ZERO) + v1 * v2
-            return GradedPoly(self.degree + other.degree, terms)
+            return _graded(self.degree + other.degree, terms)
         c = as_gaussian(other)
-        return GradedPoly(self.degree, {k: c * v for k, v in self.terms.items()})
+        return _graded(self.degree, {k: c * v for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -132,6 +131,13 @@ class GradedPoly:
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.degree}, {dict(self.terms)!r})"
+
+
+def _graded(degree: int, terms: Dict[Partition, GaussianRational]) -> GradedPoly:
+    """Trusted: canonical partitions of `degree` to Q(i); drops zero values."""
+    out = object.__new__(GradedPoly)
+    out.degree, out.terms = degree, MappingProxyType({lam: v for lam, v in terms.items() if v})
+    return out
 
 
 def chern_class(j: int) -> GradedPoly:

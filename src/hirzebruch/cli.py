@@ -38,6 +38,7 @@ from .series import series_to_json
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
+CAPS = {"order": 512, "n": 512, "kn": 24}  # largest --order, cpn --n and chern --kn
 
 
 class UsageError(Exception):
@@ -245,6 +246,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        for name, cap in CAPS.items():
+            if (getattr(args, name, None) or 0) > cap:
+                raise UsageError(f"--{name} must be at most {cap}, got {getattr(args, name)}")
         return _COMMANDS[args.verb](args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

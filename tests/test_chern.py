@@ -227,6 +227,20 @@ def test_exp_kernel_undoes_log_kernel_over_graded_polys():
     assert exp_coefficients(log_coefficients(total_chern), one) == total_chern
 
 
+def test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped():
+    c1, c2 = chern_class(1), chern_class(2)
+    assert (c1 * c2).terms == {(2, 1): 1}
+    plus = GradedPoly(2, {(1, 1): 1, (2,): 1})
+    minus = GradedPoly(2, {(1, 1): 1, (2,): -1})
+    # (c1^2 + c2)(c1^2 - c2): the two c2*c1^2 products cancel
+    product = plus * minus
+    assert product == GradedPoly(4, {(1, 1, 1, 1): 1, (2, 2): -1})
+    assert dict(product.terms) == {(1, 1, 1, 1): 1, (2, 2): -1}
+    assert not (plus - plus).terms and not (0 * plus).terms
+    with pytest.raises(TypeError):
+        product.terms[(4,)] = 1
+
+
 def test_zero_k_n_stays_a_graded_poly():
     H = construct(parse_spec("euler:a=0"), 4)
     ks = k_polynomials(H, 4)

@@ -204,6 +204,24 @@ def test_a_usage_error_leaves_the_shared_parser_intact(capsys):
     assert run(capsys, "expand", "--series", "todd") == alone
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--series", "todd", "--order", "513"],
+    ["localize", "--series", "todd", "--weights", "0,1", "--order", "513"],
+    ["classify", "--series", "todd", "--order", "513"],
+    ["rigidity", "--series", "todd", "--order", "513"],
+    ["cpn", "--series", "todd", "--n", "513"],
+    ["chern", "--series", "todd", "--kn", "25"],
+], ids=lambda argv: argv[0])
+def test_sizes_beyond_the_caps_are_usage_errors(capsys, monkeypatch, argv):
+    def no_expansion(*args):
+        raise AssertionError("a capped size reached construct")
+
+    monkeypatch.setattr("hirzebruch.cli.construct", no_expansion)
+    code, out, err = run(capsys, *argv)
+    flag, cap = argv[-2], int(argv[-1]) - 1
+    assert (code, out) == (1, "") and f"{flag} must be at most {cap}" in err
+
+
 def test_determinism(capsys):
     args = ("rigidity", "--series", "gab:a=1/2,b=1", "--max-n", "2", "--order", "8",
             "--trials", "10", "--seed", "11", "--json")

@@ -190,6 +190,14 @@ def test_reconstruct_idempotent_with_classify():
     assert reconstruct(report.r1, report.h2, 20) == H.series
 
 
+def test_classify_reads_the_last_known_coefficient():
+    H = construct(parse_spec("todd"), 10)
+    coeffs = list(H.series.coeffs)
+    coeffs[10] = coeffs[10] + 1
+    report = classify(CharacteristicSeries(PowerSeries(coeffs)))
+    assert not report.is_gt and report.witness == H.order == 10
+
+
 # -- oriented classification -----------------------------------------------------
 
 def test_classify_oriented_accepts_coth_and_cot():
@@ -210,6 +218,13 @@ def test_classify_oriented_rejects_todd():
     with pytest.raises(NotEvenSeriesError) as err:
         classify_oriented(construct(parse_spec("todd"), 16))
     assert err.value.degree == 1
+
+
+def test_classify_oriented_reads_the_last_odd_coefficient():
+    # odd order 9, and only the degree-9 coefficient is nonzero
+    with pytest.raises(NotEvenSeriesError) as err:
+        classify_oriented(padded([1] + [0] * 8 + [Fraction(2, 7)], 9))
+    assert err.value.degree == 9 and err.value.coefficient == Fraction(2, 7)
 
 
 # -- AR sampling ------------------------------------------------------------------
