@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
-from .gaussian import (GR_I, GR_ONE, GR_ZERO, GaussianRational, as_gaussian, format_gaussian,
-                       parse_gaussian)
-from .series import InsufficientOrderError, PowerSeries, series_from_json
+from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
+from .series import InsufficientOrderError, PowerSeries, exp_series, log_series, series_from_json
 
 DEFAULT_ORDER = 16
 
@@ -157,16 +156,11 @@ def construct(spec: SeriesSpec, order: int = DEFAULT_ORDER) -> CharacteristicSer
 
 
 def h_n(H: CharacteristicSeries, n: int) -> GaussianRational:
-    """The genus of CP^n, [t^n] p for p = H^(n+1), by J.C.P. Miller's power
-    recurrence on H's coefficients h_j (Knuth, TAOCP Vol. 2, 4.7), with no
-    logarithm: p_0 = 1, k*p_k = sum_{j=1..k} ((n+2)j - k)*h_j*p_{k-j}; O(n^2)."""
+    """The genus of complex projective n-space: the t^n coefficient of
+    H^(n+1), read off exp((n+1)*log H). Exact, since H(0) = 1; O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    h, p = H.series.truncate(n).coeffs, [GR_ONE]
-    for k in range(1, n + 1):
-        acc = sum(((n + 2) * j - k) * h[j] * p[k - j] for j in range(1, k + 1) if h[j])
-        p.append(acc * Fraction(1, k))
-    return as_gaussian(p[n])
+    return exp_series((n + 1) * log_series(H.series.truncate(n))).coefficient(n)
 
 
 def novikov_g(H: CharacteristicSeries, order: int) -> PowerSeries:

@@ -18,13 +18,7 @@ from hirzebruch.catalog import (
     verify_novikov,
 )
 from hirzebruch.gaussian import GR_I, GaussianRational, as_gaussian
-from hirzebruch.series import (
-    InsufficientOrderError,
-    PowerSeries,
-    exp_series,
-    log_series,
-    truncated_product,
-)
+from hirzebruch.series import InsufficientOrderError, PowerSeries, truncated_product
 
 
 def rand_fraction(rng, nonzero=False):
@@ -203,8 +197,8 @@ gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(min_value=0, max_value=10), data=st.data())
 def test_h_n_matches_repeated_truncated_product(coeff, n, data):
-    # h_n runs Miller's power recurrence, so the (n+1)-th power is rebuilt
-    # here by plain truncated products, independently of that recurrence.
+    # h_n reads log H, as K_n does, so the (n+1)-th power is rebuilt
+    # here by plain truncated products, independently of exp and log.
     coeffs = [1] + data.draw(st.lists(coeff, min_size=max(n, 2), max_size=max(n, 2)))
     H = CharacteristicSeries(PowerSeries(coeffs))
     head = [as_gaussian(c) for c in coeffs[: n + 1]]
@@ -212,20 +206,6 @@ def test_h_n_matches_repeated_truncated_product(coeff, n, data):
     for _ in range(n):
         power = truncated_product(power, head)
     assert h_n(H, n) == power[n]
-
-
-@pytest.mark.parametrize("text", [
-    "dab:a=2/3,b=1/5", "dab:a=1/2+i,b=-1/3", "gab:a=3/4,b=2/7", "gab:a=1/3-1/2i,b=1",
-    "txy:x=3/5,y=-2/7", "txy:x=1+1/3i,y=1/2", "euler:a=-5/3", "gab:a=1,b=0",
-])
-def test_h_n_matches_the_exp_log_oracle(text):
-    # The former formula, [t^n] exp((n+1)*log H), as an independent oracle.
-    # gab:a=1,b=0 is even, so its CP^1 sum is empty; euler is 1 + a*t.
-    H = construct(parse_spec(text), 40)
-    for n in range(41):
-        value = h_n(H, n)
-        assert type(value) is GaussianRational, (n, type(value))
-        assert value == exp_series((n + 1) * log_series(H.series.truncate(n))).coefficient(n), n
 
 
 def test_h_n_insufficient_order():

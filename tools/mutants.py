@@ -1,7 +1,7 @@
 """Mutation probe: apply one-line mutants to a copy of the repo, run tier-1.
 
     python tools/mutants.py            # every mutant, about one tier-1 run each
-    python tools/mutants.py miller     # only the named ones
+    python tools/mutants.py classify-skips-last   # only the named ones
 
 Each entry is (name, file, old text, new text, test expected to kill it).
 The old text must occur exactly once in the file, so a stale entry fails
@@ -19,10 +19,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S = "src/hirzebruch/"
 MUTANTS = [
-    ("miller-weight", S + "catalog.py", "((n + 2) * j - k)", "((n + 1) * j - k)",
-     "test_catalog.py::test_h_n_matches_the_exp_log_oracle"),
-    ("h_n-no-as_gaussian", S + "catalog.py", "return as_gaussian(p[n])", "return p[n]",
-     "test_catalog.py::test_h_n_matches_the_exp_log_oracle"),
     ("unsorted-product-key", S + "chern.py", "key = tuple(sorted(k1 + k2, reverse=True))",
      "key = k1 + k2", "test_chern.py::test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped"),
     ("trusted-keeps-zeros", S + "chern.py",
