@@ -108,7 +108,7 @@ def equivariant_genus(H: CharacteristicSeries, fps: FixedPointSet,
 
 def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
     f = LaurentSeries(-1, coeffs)
-    total = LaurentSeries(len(coeffs) - 1 - fps.n, [GR_ZERO])
+    total = LaurentSeries(-fps.n, [GR_ZERO] * len(coeffs))
     for p in fps.points:
         prod = None
         for w in p.weights:

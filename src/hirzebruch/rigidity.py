@@ -212,11 +212,8 @@ def _base_tuples(m: int) -> List[WeightTuple]:
 
 
 def _nonconstant_witness(s: LaurentSeries) -> Optional[Tuple[int, GaussianRational]]:
-    if s.valuation < 0 and not s.is_zero:
-        return s.valuation, s.coeffs[0]
-    for k in range(1, s.order + 1):
-        c = s.coefficient_or_zero(k)
-        if c:
+    for k, c in enumerate(s.coeffs, s.valuation):
+        if c and k:
             return k, c
     return None
 

@@ -2,8 +2,12 @@
 
 Every series carries the exact coefficient range it is known on.
 Arithmetic propagates the jointly-known range pessimistically and never
-fabricates tail coefficients; coefficients below the valuation of a
-Laurent series are exactly zero by definition.
+fabricates tail coefficients.
+
+A Laurent series has one normal form, set by its constructor alone: the
+first known coefficient is nonzero, or the series is one zero at its
+order. `coefficient(k)` is the one reader by degree: zero below the
+valuation, `InsufficientOrderError` past the order.
 
 Two series are equal when they are known on the same range and agree on
 all of it, so a truncated operand never compares equal to a longer one.
@@ -265,22 +269,21 @@ class PowerSeries:
 class LaurentSeries:
     """A Laurent series known exactly on degrees valuation..order.
 
-    Normalized so the leading known coefficient is nonzero; a series that
-    is zero on its whole known range collapses to a single zero
-    coefficient at its order, preserving the knowledge horizon.
+    The constructor is the only place that normalizes: leading zeros are
+    dropped, so coeffs[0] is nonzero, and a series that is zero on its
+    whole known range collapses to a single zero at its order, keeping
+    the knowledge horizon. Read by degree through `coefficient` only.
     """
 
     __slots__ = ("valuation", "coeffs")
 
     def __init__(self, valuation: int, coeffs: Iterable[Coeff]):
-        cs = list(_coerce_coeffs(coeffs))
+        cs = _coerce_coeffs(coeffs)
         if not cs:
             raise ValueError("a Laurent series needs at least one known coefficient")
-        while len(cs) > 1 and not cs[0]:
-            cs.pop(0)
-            valuation += 1
-        self.valuation = valuation
-        self.coeffs = tuple(cs)
+        lead = next((i for i, c in enumerate(cs) if c), len(cs) - 1)
+        self.valuation = valuation + lead
+        self.coeffs = cs[lead:]
 
     @property
     def order(self) -> int:
@@ -304,11 +307,7 @@ class LaurentSeries:
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < self.valuation:
             return LaurentSeries(order, [GR_ZERO])
-        # the slice keeps the nonzero leading coefficient: already normalized
-        out = object.__new__(LaurentSeries)
-        out.valuation = self.valuation
-        out.coeffs = self.coeffs[: order - self.valuation + 1]
-        return out
+        return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation + 1])
 
     def power_part(self) -> PowerSeries:
         """View as a power series; fails on a nonzero principal part."""
@@ -316,9 +315,7 @@ class LaurentSeries:
             raise ValueError("Laurent series has a nonzero principal part")
         if self.order < 0:
             raise InsufficientOrderError("no nonnegative degrees are known")
-        pad = (GR_ZERO,) * max(self.valuation, 0)
-        start = max(-self.valuation, 0)
-        return PowerSeries(pad + self.coeffs[start:])
+        return PowerSeries([self.coefficient(k) for k in range(self.order + 1)])
 
     # -- ring structure ----------------------------------------------------
 
@@ -327,18 +324,10 @@ class LaurentSeries:
             return self + PowerSeries.constant(other, max(self.order, 0)).as_laurent()
         val = min(self.valuation, other.valuation)
         order = min(self.order, other.order)
-        if order < val:
-            # one summand is known-zero below the other's valuation only
-            return LaurentSeries(order, [GR_ZERO])
-        out = [self.coefficient_or_zero(k) + other.coefficient_or_zero(k) for k in range(val, order + 1)]
-        return LaurentSeries(val, out)
+        return LaurentSeries(val, [self.coefficient(k) + other.coefficient(k)
+                                   for k in range(val, order + 1)])
 
     __radd__ = __add__
-
-    def coefficient_or_zero(self, k: int) -> GaussianRational:
-        if k < self.valuation or k > self.order:
-            return GR_ZERO
-        return self.coeffs[k - self.valuation]
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.valuation, [-c for c in self.coeffs])
@@ -370,18 +359,17 @@ class LaurentSeries:
         return self * LaurentSeries(-other.valuation, unit.coeffs)
 
     def derivative(self) -> "LaurentSeries":
-        out = [as_gaussian(k) * self.coeffs[k - self.valuation]
-               for k in range(self.valuation, self.order + 1)]
-        return LaurentSeries(self.valuation - 1, out)
+        return LaurentSeries(self.valuation - 1,
+                             [k * c for k, c in enumerate(self.coeffs, self.valuation)])
 
     def scale_argument(self, w: Coeff) -> "LaurentSeries":
         w = as_gaussian(w)
         if not w:
             if self.valuation < 0 and not self.is_zero:
                 raise ValueError("cannot substitute t -> 0 into a series with a pole")
-            out = [self.coefficient_or_zero(k) if k == 0 else GR_ZERO
-                   for k in range(min(self.valuation, 0), self.order + 1)]
-            return LaurentSeries(min(self.valuation, 0), out)
+            val = min(self.valuation, 0)
+            return LaurentSeries(val, [self.coefficient(0) if k == 0 else GR_ZERO
+                                       for k in range(val, self.order + 1)])
         return LaurentSeries(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
 
     # -- comparison ----------------------------------------------------------

@@ -100,7 +100,7 @@ def test_criterion_05_localization_constant_term():
             fps = cpn_fixed_points(weights)
             s = equivariant_genus(H, fps, 16 - fps.n)
             assert s.valuation >= 0
-            assert s.coefficient_or_zero(0) == h_n(H, fps.n), weights
+            assert s.coefficient(0) == h_n(H, fps.n), weights
     print("ACCEPTANCE 5 PASS: localization sum has valuation >= 0 and constant "
           "term h_n for 10 random order-16 series over all small tuples (n <= 2) "
           "plus 50 seeded n = 3 tuples (exact)")

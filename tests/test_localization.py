@@ -1,9 +1,14 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n, parse_spec
+from hirzebruch.chern import ChernData, cpn_chern_numbers, evaluate_genus, k_polynomials, partitions
 from hirzebruch.gaussian import GR_I, GaussianRational
 from hirzebruch.localization import (
     FixedPoint,
@@ -108,7 +113,7 @@ def test_prop21_random_series():
     H = rand_series(rng, 12)
     s = equivariant_genus(H, cpn_fixed_points([0, 1, 3]), 8)
     assert s.valuation >= 0
-    assert s.coefficient_or_zero(0) == h_n(H, 2)
+    assert s.coefficient(0) == h_n(H, 2)
 
 
 def test_insufficient_order_raises():
@@ -161,7 +166,7 @@ def test_complex_series_uses_generic_path():
     coeffs = [GaussianRational(1), GR_I, GaussianRational(0, Fraction(1, 2))] + [GaussianRational(0)] * 6
     H = CharacteristicSeries(PowerSeries(coeffs))
     s = equivariant_genus(H, cpn_fixed_points([1, 0]), 4)
-    assert s.coefficient_or_zero(0) == h_n(H, 1)
+    assert s.coefficient(0) == h_n(H, 1)
     assert s.valuation >= 0
 
 
@@ -173,6 +178,77 @@ def test_one_ar_check_sweep_fits_the_point_product_cache():
     assert ar_check(H, 3, 20, 100).passed
     info = _point_product.cache_info()
     assert info.hits and info.misses <= info.maxsize
+
+
+# -- Chern numbers from fixed points (Atiyah-Bott) --------------------------------
+
+def fixed_point_chern_numbers(fps):
+    """c_lambda[M] = sum_p sign_p * prod_{j in lambda} e_j(w_p) / prod w_p.
+
+    e_j is the j-th elementary symmetric polynomial of the tangent weights.
+    Shares no code with the library past the fixed-point data.
+    """
+    def e(ws, j):
+        return sum(math.prod(c) for c in itertools.combinations(ws, j))
+
+    numbers = {}
+    for lam in partitions(fps.n):
+        numbers[lam] = sum(Fraction(p.sign * math.prod(e(p.weights, j) for j in lam),
+                                    math.prod(p.weights)) for p in fps.points)
+    return ChernData(fps.n, numbers)
+
+
+def product_fixed_points(a, b):
+    return FixedPointSet(tuple(FixedPoint(p.weights + q.weights, p.sign * q.sign)
+                               for p in a.points for q in b.points))
+
+
+def flag3_fixed_points(x):
+    # one point per permutation s, tangent weights x[s[j]] - x[s[i]] for i < j
+    return FixedPointSet(tuple(
+        FixedPoint(tuple(x[s[j]] - x[s[i]] for i, j in itertools.combinations(range(3), 2)))
+        for s in itertools.permutations(range(3))))
+
+
+def hirzebruch_surface_fixed_points(k, u=1, v=3):
+    # the four torus-fixed points of the toric surface F_k, on the circle (u, v)
+    return FixedPointSet(tuple(FixedPoint(w) for w in (
+        (u, v), (k * u + v, -u), (-u, -k * u - v), (-v, u))))
+
+
+signed_fixed_points = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.builds(FixedPoint,
+              st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n).map(tuple),
+              st.sampled_from([1, -1])),
+    min_size=1, max_size=4).map(lambda ps: FixedPointSet(tuple(ps))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_fixed_points, st.integers(0, 2**32))
+def test_chern_numbers_from_fixed_points_match_localization(fps, seed):
+    # both sides are sum_p sign_p [t^n] prod_j H(w_j t) / prod_j w_j, for any
+    # signed data; the Chern side goes through log H, power sums and exp
+    H = rand_complex_series(random.Random(seed), max(fps.n, 2))
+    chern_side = evaluate_genus(k_polynomials(H, fps.n)[fps.n], fixed_point_chern_numbers(fps))
+    assert chern_side == equivariant_genus(H, fps, 0).coefficient(0)
+
+
+@pytest.mark.parametrize("fps, expected", [
+    (cpn_fixed_points([0, 1, 2, 5]), cpn_chern_numbers(3).numbers),
+    (product_fixed_points(cpn_fixed_points([0, 2]), cpn_fixed_points([0, 1, 3])),
+     {(3,): 6, (2, 1): 24, (1, 1, 1): 54}),
+    (flag3_fixed_points((0, 1, 3)), {(3,): 6, (2, 1): 24, (1, 1, 1): 48}),
+    (hirzebruch_surface_fixed_points(1), {(2,): 4, (1, 1): 8}),
+    (hirzebruch_surface_fixed_points(3), {(2,): 4, (1, 1): 8}),
+], ids=["CP3", "CP1xCP2", "Fl3", "F1", "F3"])
+def test_named_manifolds_chern_numbers_todd_and_euler(fps, expected):
+    X = fixed_point_chern_numbers(fps)
+    assert X == ChernData(fps.n, expected)
+    n = fps.n
+    for spec, value in (("todd", 1), ("euler:a=1", len(fps.points))):
+        H = construct(parse_spec(spec), n)
+        assert evaluate_genus(k_polynomials(H, n)[n], X) == value
+        assert equivariant_genus(H, fps, 0).coefficient(0) == value
 
 
 # -- JSON -------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hirzebruch.rigidity import (
     _MAX_N,
     NotEvenSeriesError,
     _base_tuples,
+    _nonconstant_witness,
     ar1_residual,
     ar_check,
     classify,
@@ -17,7 +18,7 @@ from hirzebruch.rigidity import (
     lemma41_residual,
     reconstruct,
 )
-from hirzebruch.series import InsufficientOrderError, PowerSeries
+from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries
 
 
 def rand_fraction(rng, nonzero=False):
@@ -79,7 +80,7 @@ def test_lemma41_todd():
 def test_lemma41_one_plus_t_squared():
     H = padded([1, 0, 1], 6)
     residual = lemma41_residual(H, 4)
-    assert residual.coefficient_or_zero(2) == 1
+    assert residual.coefficient(2) == 1
     assert residual.valuation == 2
 
 
@@ -228,6 +229,16 @@ def test_classify_oriented_reads_the_last_odd_coefficient():
 
 
 # -- AR sampling ------------------------------------------------------------------
+
+def test_nonconstant_witness_is_the_first_nonzero_term_off_degree_zero():
+    # a nonzero normalized series starts with a nonzero term, so a pole is found first
+    assert _nonconstant_witness(LaurentSeries(-2, [0, 3, 0, 1, 0])) == (-1, 3)
+    assert _nonconstant_witness(LaurentSeries(0, [5, 0, 0, 0])) is None
+    zero = LaurentSeries(-3, [0, 0])
+    assert zero.is_zero and zero.valuation == -2
+    assert _nonconstant_witness(zero) is None
+    assert _nonconstant_witness(LaurentSeries(0, [2, 0, 0, 7, 1])) == (3, 7)
+
 
 def test_ar_check_passes_for_dab():
     H = construct(parse_spec("dab:a=2,b=1/3"), 20)

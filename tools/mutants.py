@@ -7,7 +7,8 @@ Each entry is (name, file, old text, new text, test expected to kill it).
 The old text must occur exactly once in the file, so a stale entry fails
 loudly instead of testing nothing. A mutant is killed when tier-1 (`-x`)
 fails on the mutated copy; the first failing test is reported next to the
-expected killer. Not part of tier-1 or CI: each mutant costs a tier-1 run.
+expected killer. Not part of tier-1: each mutant costs a tier-1 run, so CI
+runs it as a job of its own.
 """
 import os
 import shutil
@@ -33,7 +34,12 @@ MUTANTS = [
      "H.series.truncate(order + 1).coeffs",
      "test_rigidity.py::test_lemma41_residual_is_known_to_the_order_asked"),
     ("generic-drops-sign", S + "localization.py", "total = total + p.sign * prod",
-     "total = total + prod", "none yet (ROADMAP item 7)"),
+     "total = total + prod",
+     "test_localization.py::test_chern_numbers_from_fixed_points_match_localization"),
+    ("witness-reads-degree-0", S + "rigidity.py", "if c and k:", "if c:",
+     "test_rigidity.py::test_nonconstant_witness_is_the_first_nonzero_term_off_degree_zero"),
+    ("laurent-keeps-zeros", S + "series.py", "if c), len(cs) - 1)", "if c), 0)",
+     "test_series.py::test_zero_series_keeps_knowledge_horizon"),
     ("inverse-stops-at-40", S + "series.py",
      "for j in range(1, k + 1):\n                if a[j]:\n",
      "for j in range(1, min(k, 40) + 1):\n                if a[j]:\n",
