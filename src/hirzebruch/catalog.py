@@ -160,16 +160,22 @@ def h_n(H: CharacteristicSeries, n: int) -> GaussianRational:
     H^(n+1), read off exp((n+1)*log H). Exact, since H(0) = 1; O(n^2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return exp_series((n + 1) * log_series(H.series.truncate(n))).coefficient(n)
+    return _h_from_log(log_series(H.series.truncate(n)), n)
+
+
+def _h_from_log(L: PowerSeries, n: int) -> GaussianRational:
+    """h_n from a log of H known to degree >= n: [t^n] exp((n+1)*L)."""
+    return exp_series((n + 1) * L.truncate(n)).coefficient(n)
 
 
 def novikov_g(H: CharacteristicSeries, order: int) -> PowerSeries:
-    """The logarithm sum: coefficient of t^(n+1) is h_n/(n+1). One h_n per
-    degree, O(order^3) in all; never the reversion of t/H, which by Lagrange
-    inversion would make verify_novikov a tautology."""
+    """The logarithm sum: coefficient of t^(n+1) is h_n/(n+1). One log of H
+    serves every degree, O(order^3) in all; never the reversion of t/H,
+    which by Lagrange inversion would make verify_novikov a tautology."""
     if H.order < order:
         raise InsufficientOrderError(f"need order >= {order}, have {H.order}")
-    return PowerSeries([GR_ZERO] + [h_n(H, n) / (n + 1) for n in range(order)])
+    L = log_series(H.series.truncate(max(order - 1, 0)))
+    return PowerSeries([GR_ZERO] + [_h_from_log(L, n) / (n + 1) for n in range(order)])
 
 
 class NovikovCheck(NamedTuple):

@@ -14,7 +14,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, parse_gaussian
+from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, dot, parse_gaussian
 from .series import exp_coefficients, log_coefficients, log_series
 
 Partition = Tuple[int, ...]
@@ -94,16 +94,29 @@ class GradedPoly:
 
     def __mul__(self, other):
         if isinstance(other, GradedPoly):
-            terms: Dict[Partition, GaussianRational] = {}
-            for k1, v1 in self.terms.items():
-                for k2, v2 in other.terms.items():
-                    key = tuple(sorted(k1 + k2, reverse=True))
-                    terms[key] = terms.get(key, GR_ZERO) + v1 * v2
-            return _graded(self.degree + other.degree, terms)
+            return GradedPoly.dot((self,), (other,))
         c = as_gaussian(other)
         return _graded(self.degree, {k: c * v for k, v in self.terms.items()})
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(xs: Sequence["GradedPoly"], ys: Sequence["GradedPoly"]) -> "GradedPoly":
+        """sum_j xs[j]*ys[j] for a nonempty run of pairs of one total degree.
+
+        Every product of a term of x_j with a term of y_j is collected by
+        its partition, and each partition's coefficient is one `gaussian.dot`.
+        """
+        degree = xs[0].degree + ys[0].degree
+        pairs: Dict[Partition, List[Tuple[GaussianRational, GaussianRational]]] = {}
+        for x, y in zip(xs, ys):
+            if x.degree + y.degree != degree:
+                raise ValueError("cannot add graded pieces of different degrees")
+            for k1, v1 in x.terms.items():
+                for k2, v2 in y.terms.items():
+                    key = tuple(sorted(k1 + k2, reverse=True))
+                    pairs.setdefault(key, []).append((v1, v2))
+        return _graded(degree, {key: dot(*zip(*vs)) for key, vs in pairs.items()})
 
     def evaluate(self, values: Sequence[object]) -> GaussianRational:
         """Substitute numeric Chern values; values[j-1] is the value of c_j."""

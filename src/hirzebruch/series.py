@@ -27,6 +27,7 @@ from .gaussian import (
     GaussianRational,
     Scalar,
     as_gaussian,
+    dot,
     format_gaussian,
 )
 
@@ -51,10 +52,15 @@ R = TypeVar("R")
 def truncated_product(a: Sequence[R], b: Sequence[R]) -> List[R]:
     """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b.
 
-    Sums start from the int 0, so the same loop serves Q(i) coefficients
-    and integer numerators; a degree with no nonzero product stays 0.
+    Q(i) coefficients take one `gaussian.dot` per degree. Integer
+    numerators (the real localization path) keep the zero-skipping outer
+    product, with a degree that has no nonzero product left at 0: about
+    half of those numerators are zero, and a per-degree sum of products
+    measured 1.4-2x slower on them.
     """
     size = min(len(a), len(b))
+    if size and type(a[0]) is GaussianRational:
+        return [dot(a[:k + 1], b[k::-1]) for k in range(size)]
     out = [0] * size
     for i in range(size):
         ai = a[i]
@@ -71,17 +77,14 @@ def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
     """exp(a_1 t + a_2 t^2 + ...) to degree len(a) - 1; a[0] is not read, e_0 is `one`.
 
     k*e_k = sum_{j=1..k} (j*a_j)*e_{k-j}, from E' = A'E, with the j*a_j
-    formed once. Sums start from the int 0 and 1/k is a Fraction, so Q(i)
-    and GradedPoly coefficients share the loop.
+    formed once. Each sum is one inner product of the coefficient ring,
+    `type(one).dot` (`gaussian.dot` or `GradedPoly.dot`); 1/k is a Fraction.
     """
-    ja = [0] + [j * a[j] for j in range(1, len(a))]
+    inner = type(one).dot
+    ja = [j * a[j] for j in range(1, len(a))]
     out = [one]
     for k in range(1, len(a)):
-        acc = 0
-        for j in range(1, k + 1):
-            if ja[j]:
-                acc += ja[j] * out[k - j]
-        out.append(acc * Fraction(1, k))
+        out.append(inner(ja[:k], out[::-1]) * Fraction(1, k))
     return out
 
 
@@ -89,15 +92,12 @@ def log_coefficients(g: Sequence[R]) -> List[R]:
     """q = log g to degree len(g) - 1; g[0] is taken as 1 and not read, q_0 is the int 0.
 
     k*q_k = k*g_k - sum_{j=1..k-1} (j*q_j)*g_{k-j}, from t*g' = (t*q')*g,
-    keeping the j*q_j; 1/k is a Fraction, as in exp_coefficients.
+    keeping the j*q_j. Each sum is one inner product of the coefficient
+    ring, as in exp_coefficients; 1/k is a Fraction.
     """
-    kq = [0]
-    for k in range(1, len(g)):
-        acc = k * g[k]
-        for j in range(1, k):
-            if g[k - j]:
-                acc = acc - kq[j] * g[k - j]
-        kq.append(acc)
+    kq = [0, *g[1:2]]
+    for k in range(2, len(g)):
+        kq.append(k * g[k] - type(g[k]).dot(kq[1:k], g[k - 1:0:-1]))
     return [0] + [kq[k] * Fraction(1, k) for k in range(1, len(kq))]
 
 
@@ -198,11 +198,7 @@ class PowerSeries:
         inv0 = GR_ONE / a[0]
         out = [inv0]
         for k in range(1, self.order + 1):
-            acc = GR_ZERO
-            for j in range(1, k + 1):
-                if a[j]:
-                    acc = acc + a[j] * out[k - j]
-            out.append(-inv0 * acc)
+            out.append(-inv0 * dot(a[1:k + 1], out[::-1]))
         return PowerSeries(out)
 
     # -- composition family --------------------------------------------------
@@ -232,9 +228,7 @@ class PowerSeries:
             powers.append(powers[-1] * self)
         g = [GR_ZERO, GR_ONE / f[1]]
         for k in range(2, n + 1):
-            acc = GR_ZERO
-            for j in range(1, k):
-                acc = acc + g[j] * powers[j].coeffs[k]
+            acc = dot(g[1:k], [powers[j].coeffs[k] for j in range(1, k)])
             g.append(-acc / powers[k].coeffs[k])
         return PowerSeries(g)
 

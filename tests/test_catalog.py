@@ -242,6 +242,16 @@ def test_novikov_g_trivial_series():
     assert novikov_g(H, 4) == PowerSeries([0, 1, 0, 0, 0])
 
 
+@pytest.mark.parametrize("text", ["dab:a=1,b=1/2", "dab:a=1/2+3i,b=-1", "gab:a=1,b=0",
+                                  "euler:a=3"])
+def test_novikov_g_is_h_n_over_n_plus_one(text):
+    # novikov_g reads one log of H for every degree; h_n takes its own
+    H = construct(parse_spec(text), 24)
+    for order in (0, 1, 24):
+        expected = PowerSeries([0] + [h_n(H, n) / (n + 1) for n in range(order)])
+        assert novikov_g(H, order) == expected
+
+
 def test_verify_novikov_todd_and_euler():
     assert verify_novikov(construct(parse_spec("todd"), 10), 10).ok
     assert verify_novikov(construct(parse_spec("euler:a=3"), 10), 10).ok

@@ -241,6 +241,22 @@ def test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped():
         product.terms[(4,)] = 1
 
 
+def test_graded_dot_equals_the_sum_of_products():
+    c1, c2, c3 = chern_class(1), chern_class(2), chern_class(3)
+    p2 = GradedPoly(2, {(1, 1): 2, (2,): Fraction(-1, 3)})
+    q1 = GradedPoly(1, {(1,): GaussianRational(1, 2)})
+    xs = [c1, p2, c3, GradedPoly(1, {})]
+    ys = [p2, q1, GradedPoly(0, {(): 5}), c2]
+    assert GradedPoly.dot(xs, ys) == sum(x * y for x, y in zip(xs, ys))
+    assert GradedPoly.dot([p2], [c1]) == p2 * c1
+    # c1*c2 - c2*c1 + c1^3: the (2, 1) term cancels to zero and is dropped
+    cancel = GradedPoly.dot([c1, -1 * c2, c1], [c2, c1, c1 * c1])
+    assert dict(cancel.terms) == {(1, 1, 1): 1}
+    assert not GradedPoly.dot([c1, c2], [c2, -1 * c1]).terms
+    with pytest.raises(ValueError):
+        GradedPoly.dot([c1, c1], [c1, c2])
+
+
 def test_zero_k_n_stays_a_graded_poly():
     H = construct(parse_spec("euler:a=0"), 4)
     ks = k_polynomials(H, 4)

@@ -8,6 +8,7 @@ from hirzebruch.gaussian import (
     GR_I,
     GaussianRational,
     as_gaussian,
+    dot,
     format_gaussian,
     parse_gaussian,
 )
@@ -67,6 +68,31 @@ def test_operations_match_a_fraction_pair_reference(x, y):
         z = op(x, y)
         assert (z.re, z.im) == reference_result(name, x, y)
         assert_canonical(z)
+
+
+# dot's entries: zero, real, pure imaginary and general values over
+# denominators that divide each other (2 | 4 | 8, 3 | 6 | 12) or are coprime
+dot_entries = st.builds(
+    lambda a, b, d: GaussianRational(Fraction(a, d), Fraction(b, d)),
+    st.sampled_from([0, 0, 1, -1, 2, 3, -5, 7, 10**9 + 7]),
+    st.sampled_from([0, 0, 1, -1, 4, -9, 11]),
+    st.sampled_from([1, 2, 4, 8, 3, 6, 12, 5, 7, 11]))
+
+
+@given(st.lists(st.tuples(dot_entries, dot_entries), max_size=8))
+def test_dot_matches_a_fraction_pair_reference_sum(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    re = im = Fraction(0)
+    for x, y in pairs:
+        a, b = reference_result("*", x, y)
+        re, im = re + a, im + b
+    z = dot(xs, ys)
+    # == compares the lowest-terms parts with those of the reference
+    assert z == GaussianRational(re, im)
+    assert (z.re, z.im) == (re, im)
+    assert_canonical(z)
+    if not im:
+        assert hash(z) == hash(re)
 
 
 @given(operands)

@@ -40,10 +40,19 @@ MUTANTS = [
      "test_rigidity.py::test_nonconstant_witness_is_the_first_nonzero_term_off_degree_zero"),
     ("laurent-keeps-zeros", S + "series.py", "if c), len(cs) - 1)", "if c), 0)",
      "test_series.py::test_zero_series_keeps_knowledge_horizon"),
-    ("inverse-stops-at-40", S + "series.py",
-     "for j in range(1, k + 1):\n                if a[j]:\n",
-     "for j in range(1, min(k, 40) + 1):\n                if a[j]:\n",
+    ("inverse-stops-at-40", S + "series.py", "dot(a[1:k + 1], out[::-1])",
+     "dot(a[1:min(k, 40) + 1], out[::-1])",
      "test_catalog.py::test_coefficients_match_bernoulli_oracle"),
+    ("dot-skips-rescale", S + "gaussian.py",
+     "A = A * t + (a * c - b * e) * s\n                B = B * t + (a * e + b * c) * s",
+     "A = A * t + (a * c - b * e)\n                B = B * t + (a * e + b * c)",
+     "test_gaussian.py::test_dot_matches_a_fraction_pair_reference_sum"),
+    ("dot-drops-imaginary-terms", S + "gaussian.py", "if not (a or b) or not (c or e):",
+     "if not a or not (c or e):",
+     "test_gaussian.py::test_dot_matches_a_fraction_pair_reference_sum"),
+    ("graded-dot-first-pair-only", S + "chern.py", "for x, y in zip(xs, ys):",
+     "for x, y in zip(xs[:1], ys[:1]):",
+     "test_chern.py::test_graded_dot_equals_the_sum_of_products"),
     ("from_parts-no-gcd", S + "gaussian.py", "if g != 1:", "if False:",
      "test_gaussian.py::test_operations_match_a_fraction_pair_reference"),
 ]
