@@ -119,17 +119,17 @@ class GradedPoly:
         return _graded(degree, {key: dot(*zip(*vs)) for key, vs in pairs.items()})
 
     def evaluate(self, values: Sequence[object]) -> GaussianRational:
-        """Substitute numeric Chern values; values[j-1] is the value of c_j."""
+        """Substitute numeric Chern values; values[j-1] is the value of c_j.
+
+        One `gaussian.dot` of the coefficients against the monomials
+        prod_{j in key} values[j-1]; a c_j with no value is a ValueError.
+        """
         vals = [as_gaussian(v) for v in values]
-        total = GR_ZERO
-        for key, coeff in self.terms.items():
-            prod = coeff
-            for part in key:
-                if part > len(vals):
-                    raise ValueError(f"no value supplied for c_{part}")
-                prod = prod * vals[part - 1]
-            total = total + prod
-        return total
+        for key in self.terms:
+            if key and key[0] > len(vals):
+                raise ValueError(f"no value supplied for c_{key[0]}")
+        return dot(self.terms.values(),
+                   [math.prod((vals[j - 1] for j in key), start=GR_ONE) for key in self.terms])
 
     def items_sorted(self):
         """Terms in the canonical reverse-lexicographic partition order."""
@@ -198,16 +198,13 @@ class ChernData:
 
 
 def evaluate_genus(K: GradedPoly, X: ChernData) -> GaussianRational:
-    """Pair the multiplicative-sequence polynomial with Chern numbers."""
+    """Pair the multiplicative-sequence polynomial with Chern numbers: one
+    `gaussian.dot` over the partitions that both K and X hold."""
     if K.degree != X.dimension:
         raise ValueError(f"degree {K.degree} polynomial does not match "
                          f"dimension {X.dimension} Chern data")
-    total = GR_ZERO
-    for key, coeff in K.terms.items():
-        value = X.numbers.get(key)
-        if value:
-            total = total + coeff * value
-    return total
+    keys = [key for key in K.terms if key in X.numbers]
+    return dot([K.terms[key] for key in keys], [X.numbers[key] for key in keys])
 
 
 def cpn_chern_numbers(n: int) -> ChernData:
@@ -224,14 +221,6 @@ def cpn_chern_numbers(n: int) -> ChernData:
 
 
 # -- JSON files ------------------------------------------------------------
-
-
-def chern_data_to_json(X: ChernData) -> dict:
-    return {
-        "dimension": X.dimension,
-        "numbers": [{"partition": list(lam), "value": str(v)}
-                    for lam, v in sorted(X.numbers.items(), reverse=True)],
-    }
 
 
 def chern_data_from_json(data: dict) -> ChernData:

@@ -52,10 +52,6 @@ class GaussianRational:
     def conjugate(self) -> "GaussianRational":
         return from_parts(self._a, -self._b, self._d)
 
-    def norm(self) -> Fraction:
-        """re**2 + im**2; zero iff the value is zero."""
-        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: Scalar) -> "GaussianRational":

@@ -165,10 +165,6 @@ def _localize_rational(ratios: Tuple[Tuple[int, int], ...],
 # -- JSON files ----------------------------------------------------------------
 
 
-def fixed_points_to_json(fps: FixedPointSet) -> dict:
-    return {"points": [{"weights": list(p.weights), "sign": p.sign} for p in fps.points]}
-
-
 def fixed_points_from_json(data: dict) -> FixedPointSet:
     try:
         points = tuple(FixedPoint(tuple(e["weights"]), int(e.get("sign", 1)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .catalog import CharacteristicSeries, SeriesSpec, format_spec, h_n
-from .gaussian import GR_ZERO, GaussianRational, as_gaussian, format_gaussian
+from .gaussian import GR_ZERO, GaussianRational, as_gaussian, dot, format_gaussian
 from .localization import cpn_fixed_points, equivariant_genus
 from .series import InsufficientOrderError, LaurentSeries, PowerSeries
 
@@ -58,7 +58,8 @@ def reconstruct(r1: GaussianRational, h2: GaussianRational, order: int) -> Power
 
     Writing f = 1/t + g with g = r1 + r2*t + ..., matching t^k coefficients
     of f' = -f^2 + h1*f + h2 - h1^2 gives
-    (k+3)*g[k+1] = -sum_i g[i]*g[k-i] + h1*g[k] + (h2 - h1^2)*[k == 0].
+    (k+3)*g[k+1] = -sum_i g[i]*g[k-i] + h1*g[k] + (h2 - h1^2)*[k == 0],
+    with the self-convolution sum as one `gaussian.dot`.
     """
     if order < 2:
         raise ValueError("reconstruction order must be at least 2")
@@ -67,11 +68,7 @@ def reconstruct(r1: GaussianRational, h2: GaussianRational, order: int) -> Power
     h1 = 2 * r1
     g: List[GaussianRational] = [r1]
     for k in range(order - 1):
-        acc = GR_ZERO
-        for i in range(k + 1):
-            if g[i] and g[k - i]:
-                acc = acc + g[i] * g[k - i]
-        rhs = h1 * g[k] - acc
+        rhs = h1 * g[k] - dot(g[:k + 1], g[k::-1])
         if k == 0:
             rhs = rhs + h2 - h1 * h1
         g.append(rhs / (k + 3))

@@ -184,12 +184,6 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
-        if isinstance(other, PowerSeries):
-            return self * other.inverse()
-        c = as_gaussian(other)
-        return PowerSeries([x / c for x in self.coeffs])
-
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
         a = self.coeffs
@@ -231,11 +225,6 @@ class PowerSeries:
             acc = dot(g[1:k], [powers[j].coeffs[k] for j in range(1, k)])
             g.append(-acc / powers[k].coeffs[k])
         return PowerSeries(g)
-
-    def derivative(self) -> "PowerSeries":
-        if self.order == 0:
-            raise InsufficientOrderError("derivative of an order-0 series has no known coefficients")
-        return PowerSeries([(k + 1) * self.coeffs[k + 1] for k in range(self.order)])
 
     def scale_argument(self, w: Coeff) -> "PowerSeries":
         return PowerSeries(_scaled(self.coeffs, as_gaussian(w), GR_ONE))
@@ -343,27 +332,15 @@ class LaurentSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union["LaurentSeries", Coeff]) -> "LaurentSeries":
-        if not isinstance(other, LaurentSeries):
-            c = as_gaussian(other)
-            return LaurentSeries(self.valuation, [x / c for x in self.coeffs])
-        if other.is_zero:
-            raise ZeroSeriesDivisionError("division by a series with no nonzero known coefficient")
-        unit = PowerSeries(other.coeffs).inverse()
-        return self * LaurentSeries(-other.valuation, unit.coeffs)
-
     def derivative(self) -> "LaurentSeries":
         return LaurentSeries(self.valuation - 1,
                              [k * c for k, c in enumerate(self.coeffs, self.valuation)])
 
     def scale_argument(self, w: Coeff) -> "LaurentSeries":
+        """f(w*t). For w = 0 the result is f(0) when the valuation is at
+        least 0; a negative valuation (a pole, or a zero series known only
+        below degree 0) raises ZeroDivisionError from w ** valuation."""
         w = as_gaussian(w)
-        if not w:
-            if self.valuation < 0 and not self.is_zero:
-                raise ValueError("cannot substitute t -> 0 into a series with a pole")
-            val = min(self.valuation, 0)
-            return LaurentSeries(val, [self.coefficient(0) if k == 0 else GR_ZERO
-                                       for k in range(val, self.order + 1)])
         return LaurentSeries(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
 
     # -- comparison ----------------------------------------------------------

@@ -9,7 +9,6 @@ from hirzebruch.chern import (
     GradedPoly,
     chern_class,
     chern_data_from_json,
-    chern_data_to_json,
     cpn_chern_numbers,
     evaluate_genus,
     k_polynomials,
@@ -172,6 +171,69 @@ def test_evaluate_genus_zero_data_and_mismatch():
         evaluate_genus(K2, cpn_chern_numbers(3))
 
 
+def pair(z):
+    """z as an (re, im) pair of Fractions."""
+    return z.re, z.im
+
+
+def pair_product(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def pair_sum(pairs):
+    pairs = list(pairs)
+    return sum(re for re, _ in pairs), sum(im for _, im in pairs)
+
+
+def rand_gaussian(rng):
+    return GaussianRational(rand_fraction(rng), rand_fraction(rng))
+
+
+def test_evaluate_genus_matches_a_fraction_pair_reference_sum():
+    rng = random.Random(16)
+    lams = partitions(4)
+    cases = [(set(lams), set(lams)),              # full overlap
+             (set(lams), set(lams[1:])),          # a K term missing from X
+             (set(lams[:-1]), set(lams)),         # an X number missing from K
+             (set(lams[:2]), set(lams[2:]))]      # empty overlap: the sum is 0
+    for _ in range(20):
+        cases.append(({lam for lam in lams if rng.random() < 0.6},
+                      {lam for lam in lams if rng.random() < 0.6}))
+    for k_keys, x_keys in cases:
+        K = GradedPoly(4, {lam: rand_gaussian(rng) for lam in k_keys})
+        X = ChernData(4, {lam: rand_gaussian(rng) for lam in x_keys})
+        expected = pair_sum(pair_product(pair(K[lam]), pair(X[lam])) for lam in k_keys & x_keys)
+        assert pair(evaluate_genus(K, X)) == expected
+
+
+def test_graded_evaluate_matches_a_fraction_pair_reference_sum():
+    rng = random.Random(17)
+    lams = partitions(5)
+    for trial in range(20):
+        keys = [lam for lam in lams if rng.random() < 0.6]
+        K = GradedPoly(5, {lam: rand_gaussian(rng) for lam in keys})
+        values = [rand_gaussian(rng) for _ in range(5 + trial % 2)]  # extra values are unread
+        terms = []
+        for lam in keys:
+            term = pair(K[lam])
+            for part in lam:
+                term = pair_product(term, pair(values[part - 1]))
+            terms.append(term)
+        assert pair(K.evaluate(values)) == pair_sum(terms)
+    assert GradedPoly(5, {}).evaluate([]) == 0
+    assert GradedPoly(0, {(): GaussianRational(2, 3)}).evaluate([]) == GaussianRational(2, 3)
+
+
+def test_graded_evaluate_names_the_chern_class_with_no_value():
+    K = GradedPoly(4, {(1, 1, 1, 1): 1, (3, 1): 2})
+    assert K.evaluate([1, 2, 3]) == 7
+    with pytest.raises(ValueError, match="no value supplied for c_3"):
+        K.evaluate([1, 2])
+    with pytest.raises(ValueError, match="no value supplied for c_1"):
+        GradedPoly(1, {(1,): 1}).evaluate([])
+
+
 def test_genus_of_cpn_matches_h_n_across_catalog():
     rng = random.Random(9)
     specs = [
@@ -193,9 +255,14 @@ def test_genus_of_cpn_matches_h_n_across_catalog():
 
 
 def test_chern_data_json_roundtrip():
-    X = cpn_chern_numbers(3)
-    data = chern_data_to_json(X)
-    assert chern_data_from_json(data) == X
+    data = {"dimension": 3, "numbers": [
+        {"partition": [3], "value": "4"},
+        {"partition": [2, 1], "value": "24"},
+        {"partition": [1, 1, 1], "value": 64},
+    ]}
+    assert chern_data_from_json(data) == cpn_chern_numbers(3)
+    complex_data = {"dimension": 2, "numbers": [{"partition": [1, 1], "value": "1/2-3i"}]}
+    assert chern_data_from_json(complex_data)[(1, 1)] == GaussianRational(Fraction(1, 2), -3)
 
 
 def test_graded_poly_rejects_a_partition_given_twice():

@@ -116,7 +116,7 @@ def test_basic_arithmetic():
 def test_division_and_norm():
     z = GaussianRational(3, 4)
     assert z / z == 1
-    assert (z * z.conjugate()).re == z.norm() == 25
+    assert z * z.conjugate() == 25
     with pytest.raises(ZeroDivisionError):
         z / GaussianRational(0, 0)
 
@@ -164,7 +164,6 @@ def test_field_laws(a, b, c):
 @given(gaussians)
 def test_conjugation_involution(z):
     assert z.conjugate().conjugate() == z
-    assert (z.norm() == 0) == (not z)
 
 
 @pytest.mark.parametrize("z", [

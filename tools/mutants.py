@@ -55,6 +55,15 @@ MUTANTS = [
      "test_chern.py::test_graded_dot_equals_the_sum_of_products"),
     ("from_parts-no-gcd", S + "gaussian.py", "if g != 1:", "if False:",
      "test_gaussian.py::test_operations_match_a_fraction_pair_reference"),
+    ("reconstruct-drops-last-term", S + "rigidity.py", "dot(g[:k + 1], g[k::-1])",
+     "dot(g[:k], g[k::-1])",
+     "test_acceptance.py::test_criterion_08_gt_equivalence_and_perturbations"),
+    ("evaluate-genus-drops-first-key", S + "chern.py", "if key in X.numbers]",
+     "if key in X.numbers][1:]",
+     "test_acceptance.py::test_criterion_12_cross_module_consistency"),
+    ("graded-evaluate-skips-last-part", S + "chern.py", "for j in key), start=GR_ONE)",
+     "for j in key[:-1]), start=GR_ONE)",
+     "test_acceptance.py::test_criterion_11_multiplicativity"),
 ]
 
 
