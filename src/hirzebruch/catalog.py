@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
-from .series import InsufficientOrderError, PowerSeries, exp_series, log_series, series_from_json
+from .series import PowerSeries, exp_series, log_series, series_from_json
 
 DEFAULT_ORDER = 16
 
@@ -171,9 +171,8 @@ def _h_from_log(L: PowerSeries, n: int) -> GaussianRational:
 def novikov_g(H: CharacteristicSeries, order: int) -> PowerSeries:
     """The logarithm sum: coefficient of t^(n+1) is h_n/(n+1). One log of H
     serves every degree, O(order^3) in all; never the reversion of t/H,
-    which by Lagrange inversion would make verify_novikov a tautology."""
-    if H.order < order:
-        raise InsufficientOrderError(f"need order >= {order}, have {H.order}")
+    which by Lagrange inversion would make verify_novikov a tautology.
+    The t^order coefficient needs h_(order-1), so H must be known to order - 1."""
     L = log_series(H.series.truncate(max(order - 1, 0)))
     return PowerSeries([GR_ZERO] + [_h_from_log(L, n) / (n + 1) for n in range(order)])
 

@@ -31,8 +31,6 @@ def partitions(n: int) -> Tuple[Partition, ...]:
     """All partitions of n in reverse-lexicographic order, (n) first."""
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n == 0:
-        return ((),)
     out: List[Partition] = []
 
     def rec(remaining: int, max_part: int, prefix: Tuple[int, ...]):

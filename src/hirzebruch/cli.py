@@ -144,6 +144,8 @@ def _cmd_cpn(args) -> int:
 def _cmd_chern(args) -> int:
     if (args.data is None) == (args.kn is None):
         raise UsageError("chern needs exactly one of --data or --kn")
+    if args.json and args.data is not None:
+        raise UsageError("chern --json is available with --kn only")
     if args.kn is not None:
         if args.kn < 0:
             raise UsageError("--kn must be nonnegative")

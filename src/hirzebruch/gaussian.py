@@ -59,7 +59,7 @@ class GaussianRational:
         if f is None:
             return NotImplemented
         if not (c or e):
-            return self  # sums start from the int 0
+            return self  # x + 0 is x: series sums meet many zero coefficients
         a, b, d = self._a, self._b, self._d
         return from_parts(a * f + c * d, b * f + e * d, d * f)
 
@@ -92,12 +92,11 @@ class GaussianRational:
         c, e, f = _parts(other)
         if f is None:
             return NotImplemented
-        a, b, d = self._a, self._b, self._d
-        if e:  # times the conjugate: the denominator d*(c^2 + e^2) is positive
-            return from_parts((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
-        if not c:
+        if not (c or e):
             raise ZeroDivisionError("division by zero in Q(i)")
-        return from_parts(-a * f, -b * f, -d * c) if c < 0 else from_parts(a * f, b * f, d * c)
+        a, b, d = self._a, self._b, self._d
+        # times the conjugate: the denominator d*(c^2 + e^2) is positive
+        return from_parts((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
 
     def __rtruediv__(self, other: Scalar) -> "GaussianRational":
         other = _coerce(other)
@@ -165,15 +164,10 @@ class GaussianRational:
     def sqrt(self) -> Optional["GaussianRational"]:
         """Principal square root in Q(i), or None when it does not exist.
 
-        Principal means re > 0, or re == 0 and im >= 0.
+        Principal means re > 0, or re == 0 and im >= 0. One formula covers
+        every input: for real x it has r = |x| and gives sqrt(x) or i*sqrt(-x).
         """
         x, y = self.re, self.im
-        if not y:
-            r = _rational_sqrt(x)
-            if r is not None:
-                return GaussianRational(r)
-            s = _rational_sqrt(-x)
-            return None if s is None else GaussianRational(0, s)
         r = _rational_sqrt(x * x + y * y)
         if r is None:
             return None

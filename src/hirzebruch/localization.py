@@ -9,11 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
 from .gaussian import GR_ZERO, GaussianRational, as_gaussian, from_parts, real_parts
-from .series import LaurentSeries, _scaled, truncated_product
+from .series import LaurentSeries, _scaled
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,26 @@ def _integerize(ratios: Tuple[Tuple[int, int], ...]) -> Tuple[int, Tuple[int, ..
     return den, tuple(a * (den // d) for a, d in ratios)
 
 
+def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b of int sequences.
+
+    A zero-skipping outer product, with a degree that has no nonzero
+    product left at 0: about half of the numerators of a real series are
+    zero, and a per-degree sum of products measured 1.4-2x slower on them.
+    """
+    size = min(len(a), len(b))
+    out = [0] * size
+    for i in range(size):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(size - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
 # Keys hold H's numerators, so hits come only from within one sweep; an
 # ar_check sweep with max_n <= 3 makes under 1024 distinct keys, and a
 # larger cache only grows the process across series.
@@ -137,7 +157,7 @@ def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...]) -> Tuple[int
     """
     conv = _scaled(nums, weights[0], 1)
     for w in weights[1:]:
-        conv = truncated_product(conv, _scaled(nums, w, 1))
+        conv = _int_product(conv, _scaled(nums, w, 1))
     return tuple(conv)
 
 

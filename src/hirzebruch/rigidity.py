@@ -153,7 +153,7 @@ def classify_oriented(H: CharacteristicSeries) -> GTReport:
     report = classify(H)
     report.oriented = True
     if report.is_gt:
-        report.coth_a = report.d.sqrt()
+        report.coth_a = report.sqrt_d
         report.cot_a = (-report.d).sqrt()
     return report
 

@@ -49,28 +49,11 @@ def _coerce_coeffs(coeffs: Iterable[Coeff]) -> Tuple[GaussianRational, ...]:
 R = TypeVar("R")
 
 
-def truncated_product(a: Sequence[R], b: Sequence[R]) -> List[R]:
-    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b.
-
-    Q(i) coefficients take one `gaussian.dot` per degree. Integer
-    numerators (the real localization path) keep the zero-skipping outer
-    product, with a degree that has no nonzero product left at 0: about
-    half of those numerators are zero, and a per-degree sum of products
-    measured 1.4-2x slower on them.
-    """
-    size = min(len(a), len(b))
-    if size and type(a[0]) is GaussianRational:
-        return [dot(a[:k + 1], b[k::-1]) for k in range(size)]
-    out = [0] * size
-    for i in range(size):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(size - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
+def truncated_product(a: Sequence[GaussianRational],
+                      b: Sequence[GaussianRational]) -> List[GaussianRational]:
+    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b over Q(i),
+    one `gaussian.dot` per degree."""
+    return [dot(a[:k + 1], b[k::-1]) for k in range(min(len(a), len(b)))]
 
 
 def exp_coefficients(a: Sequence[R], one: R) -> List[R]:

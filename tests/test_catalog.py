@@ -252,6 +252,17 @@ def test_novikov_g_is_h_n_over_n_plus_one(text):
         assert novikov_g(H, order) == expected
 
 
+@pytest.mark.parametrize("text", ["dab:a=1,b=1/2", "dab:a=1/2+3i,b=-1"])
+def test_novikov_g_needs_h_only_to_order_minus_one(text):
+    # the t^order coefficient is h_(order-1)/order, which reads r_1..r_(order-1)
+    H = construct(parse_spec(text), 10)
+    order = H.order + 1
+    expected = PowerSeries([0] + [h_n(H, n) / (n + 1) for n in range(order)])
+    assert novikov_g(H, order) == expected
+    with pytest.raises(InsufficientOrderError):
+        novikov_g(H, H.order + 2)
+
+
 def test_verify_novikov_todd_and_euler():
     assert verify_novikov(construct(parse_spec("todd"), 10), 10).ok
     assert verify_novikov(construct(parse_spec("euler:a=3"), 10), 10).ok

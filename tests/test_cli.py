@@ -91,6 +91,18 @@ def test_chern_data_evaluation(capsys, tmp_path):
     assert out.strip() == "1"
 
 
+def test_chern_data_with_json_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    # --data prints one plain value; refuse --json before any work
+    def no_expansion(*args):
+        raise AssertionError("a refused call reached construct")
+
+    monkeypatch.setattr("hirzebruch.cli.construct", no_expansion)
+    path = tmp_path / "cp2.json"
+    path.write_text(json.dumps({"dimension": 2, "numbers": []}))
+    code, out, err = run(capsys, "chern", "--series", "todd", "--data", str(path), "--json")
+    assert (code, out) == (1, "") and "--json" in err
+
+
 def test_localize_weights_shorthand(capsys):
     code, out, _ = run(capsys, "localize", "--series", "todd", "--weights", "1,0",
                        "--order", "6")

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -192,6 +193,28 @@ def test_sqrt_check_raises_without_assert(monkeypatch):
     monkeypatch.setattr("hirzebruch.gaussian._rational_sqrt", lambda q: Fraction(1))
     with pytest.raises(ArithmeticError):
         GaussianRational(3, 4).sqrt()
+
+
+def reference_sqrt(x):
+    """(re, im) of the principal root of a rational x, or None, from isqrt alone."""
+    s = abs(x)
+    n, d = math.isqrt(s.numerator), math.isqrt(s.denominator)
+    if n * n != s.numerator or d * d != s.denominator:
+        return None
+    return (Fraction(n, d), 0) if x >= 0 else (0, Fraction(n, d))
+
+
+@given(st.one_of(rationals.map(lambda q: q * q), rationals.map(lambda q: -q * q),
+                 rationals, st.just(Fraction(0))))
+def test_sqrt_of_a_real_matches_a_fraction_reference(x):
+    # one formula serves real inputs too: sqrt(x) for x >= 0, i*sqrt(-x) below
+    root = GaussianRational(x).sqrt()
+    expected = reference_sqrt(x)
+    if expected is None:
+        assert root is None
+    else:
+        assert (root.re, root.im) == expected
+        assert root * root == x
 
 
 def test_sqrt_negative_rational():

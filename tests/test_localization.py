@@ -13,6 +13,7 @@ from hirzebruch.gaussian import GR_I, GaussianRational
 from hirzebruch.localization import (
     FixedPoint,
     FixedPointSet,
+    _int_product,
     _localize_generic,
     _point_product,
     ahbr_value,
@@ -22,7 +23,7 @@ from hirzebruch.localization import (
     sign_counts,
 )
 from hirzebruch.rigidity import ar_check
-from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries
+from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries, truncated_product
 
 
 def rand_fraction(rng):
@@ -159,6 +160,22 @@ def test_fast_and_generic_paths_agree(order, complex_h):
     generic = _localize_generic(H.series.coeffs, fps).truncate(order)
     assert s == generic and s.valuation == generic.valuation
     assert s.order == order
+
+
+# integer numerators of real GT series are about half zero
+zero_heavy_ints = st.one_of(st.just(0), st.integers(-20, 20))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(zero_heavy_ints, min_size=1, max_size=9),
+       st.lists(zero_heavy_ints, min_size=1, max_size=9))
+def test_int_product_naive_and_gaussian_products_agree(a, b):
+    size = min(len(a), len(b))
+    ints = _int_product(a, b)
+    assert len(ints) == size
+    assert ints == [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
+    assert ints == truncated_product([GaussianRational(v) for v in a],
+                                     [GaussianRational(v) for v in b])
 
 
 def test_complex_series_uses_generic_path():

@@ -1,0 +1,122 @@
+"""Metamorphic relations from the symmetries of H_{x,y}(t) = t(x e^{st} + y)/(e^{st} - 1),
+with s = x + y.
+
+- Swap: H_{y,x}(t) = H_{x,y}(-t).
+- Conjugation: the conjugate of H_{x,y} is H_{conj x, conj y}.
+- Homogeneity: H_{lx,ly}(t) = H_{x,y}(l*t).
+
+None of them needs a reference value. Each runs over every catalog family,
+with real and with complex parameters, through the coefficients, h_n, K_n
+and the localization sum on signed fixed-point data.
+"""
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hirzebruch.catalog import FAMILIES, SeriesSpec, construct, h_n
+from hirzebruch.chern import k_polynomials
+from hirzebruch.gaussian import GaussianRational
+from hirzebruch.localization import FixedPoint, FixedPointSet, equivariant_genus
+from hirzebruch.rigidity import classify
+from hirzebruch.series import LaurentSeries
+
+ORDER = 6  # the series order; localization sums go to ORDER - n
+N_MAX = 3  # h_n and K_n for n <= N_MAX
+FAMILY_NAMES = [name for name, family in FAMILIES.items() if family is not None]
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+VALUES = {
+    "real": small.map(GaussianRational),
+    "complex": st.builds(GaussianRational, small, small.filter(bool)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def specs(family, kind):
+    params = FAMILIES[family].params
+    return st.fixed_dictionaries({p: VALUES[kind] for p in params}).map(
+        lambda values: SeriesSpec(family, values))
+
+
+def txy(x, y):
+    return SeriesSpec("txy", {"x": x, "y": y})
+
+
+def xy(spec):
+    return FAMILIES[spec.family].xy(*(spec.params[p] for p in FAMILIES[spec.family].params))
+
+
+fixed_point_sets = st.one_of([st.lists(
+    st.builds(FixedPoint,
+              st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n).map(tuple),
+              st.sampled_from([1, -1])),
+    min_size=1, max_size=3).map(lambda points: FixedPointSet(tuple(points))) for n in (1, 2, 3)])
+
+
+def negated(fps):
+    return FixedPointSet(tuple(FixedPoint(tuple(-w for w in p.weights), p.sign)
+                               for p in fps.points))
+
+
+def conjugated(s):
+    return LaurentSeries(s.valuation, [c.conjugate() for c in s.coeffs])
+
+
+relation_cases = pytest.mark.parametrize("family, kind", [
+    (family, kind) for family in FAMILY_NAMES
+    for kind in (("real", "complex") if FAMILIES[family].params else ("real",))])
+
+
+@relation_cases
+@settings(max_examples=2, deadline=None)
+@given(data=st.data(), fps=fixed_point_sets)
+def test_swap_negates_odd_degrees(family, kind, data, fps):
+    spec = data.draw(specs(family, kind))
+    x, y = xy(spec)
+    H, S = construct(spec, ORDER), construct(txy(y, x), ORDER)
+    assert S.series.coeffs == tuple((-1) ** k * c for k, c in enumerate(H.series.coeffs))
+    for n, (K, KS) in enumerate(zip(k_polynomials(H, N_MAX), k_polynomials(S, N_MAX))):
+        assert h_n(S, n) == (-1) ** n * h_n(H, n)
+        assert KS == (-1) ** n * K
+    order = ORDER - fps.n
+    assert (equivariant_genus(S, fps, order)
+            == (-1) ** fps.n * equivariant_genus(H, negated(fps), order))
+
+
+@relation_cases
+@settings(max_examples=2, deadline=None)
+@given(data=st.data(), fps=fixed_point_sets)
+def test_conjugate_parameters_give_conjugate_values(family, kind, data, fps):
+    spec = data.draw(specs(family, kind))
+    conj = SeriesSpec(family, {p: v.conjugate() for p, v in spec.params.items()})
+    H, C = construct(spec, ORDER), construct(conj, ORDER)
+    assert C.series.coeffs == tuple(c.conjugate() for c in H.series.coeffs)
+    for n, (K, KC) in enumerate(zip(k_polynomials(H, N_MAX), k_polynomials(C, N_MAX))):
+        assert h_n(C, n) == h_n(H, n).conjugate()
+        assert dict(KC.terms) == {lam: v.conjugate() for lam, v in K.terms.items()}
+    order = ORDER - fps.n
+    assert equivariant_genus(C, fps, order) == conjugated(equivariant_genus(H, fps, order))
+    report, conj_report = classify(H), classify(C)
+    assert (conj_report.is_gt, conj_report.case) == (report.is_gt, report.case)
+    assert (conj_report.r1, conj_report.h2, conj_report.d) == (
+        report.r1.conjugate(), report.h2.conjugate(), report.d.conjugate())
+
+
+@relation_cases
+@settings(max_examples=2, deadline=None)
+@given(data=st.data(), fps=fixed_point_sets)
+def test_scaling_x_and_y_scales_the_argument(family, kind, data, fps):
+    spec = data.draw(specs(family, kind))
+    lam = data.draw(VALUES[kind].filter(bool))
+    x, y = xy(spec)
+    H, T = construct(spec, ORDER), construct(txy(lam * x, lam * y), ORDER)
+    assert T.series.coeffs == tuple(lam ** k * c for k, c in enumerate(H.series.coeffs))
+    for n, (K, KT) in enumerate(zip(k_polynomials(H, N_MAX), k_polynomials(T, N_MAX))):
+        assert h_n(T, n) == lam ** n * h_n(H, n)
+        assert KT == lam ** n * K
+    # F_T(w t) = lam * F_H(lam w t), one factor per weight
+    order = ORDER - fps.n
+    assert (equivariant_genus(T, fps, order)
+            == lam ** fps.n * equivariant_genus(H, fps, order).scale_argument(lam))

@@ -84,23 +84,15 @@ def naive_product(a, b):
     return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
 
 
-# integer numerators of real GT series are about half zero
-zero_heavy_ints = st.one_of(st.just(0), st.integers(-20, 20))
 complex_coeffs = st.builds(GaussianRational, rationals, rationals)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(zero_heavy_ints, min_size=1, max_size=9),
-       st.lists(zero_heavy_ints, min_size=1, max_size=9),
-       st.lists(complex_coeffs, min_size=1, max_size=9),
-       st.lists(complex_coeffs, min_size=1, max_size=9))
-def test_truncated_product_ints_gaussians_and_naive_agree(a, b, x, y):
-    ints = truncated_product(a, b)
-    gaussians = truncated_product([GaussianRational(v) for v in a],
-                                  [GaussianRational(v) for v in b])
-    assert len(ints) == len(gaussians) == min(len(a), len(b))
-    assert ints == gaussians == naive_product(a, b)
-    assert truncated_product(x, y) == naive_product(x, y)
+@given(st.lists(complex_coeffs, max_size=9), st.lists(complex_coeffs, max_size=9))
+def test_truncated_product_and_naive_agree(x, y):
+    product = truncated_product(x, y)
+    assert len(product) == min(len(x), len(y))
+    assert product == naive_product(x, y)
 
 
 # -- divide ------------------------------------------------------------------

@@ -64,6 +64,15 @@ MUTANTS = [
     ("graded-evaluate-skips-last-part", S + "chern.py", "for j in key), start=GR_ONE)",
      "for j in key[:-1]), start=GR_ONE)",
      "test_acceptance.py::test_criterion_11_multiplicativity"),
+    ("int-product-drops-top-degree", S + "localization.py", "for j in range(size - i):",
+     "for j in range(size - i - 1):",
+     "test_localization.py::test_fast_and_generic_paths_agree[0-real]"),
+    ("sqrt-real-sign", S + "gaussian.py", "if y < 0:", "if y <= 0:",
+     "test_cli_golden.py::test_cli_golden[classify --series todd]"),
+    ("div-zero-check-real-only", S + "gaussian.py",
+     "if not (c or e):\n            raise ZeroDivisionError",
+     "if not c:\n            raise ZeroDivisionError",
+     "test_catalog.py::test_closed_form_examples"),
 ]
 
 
