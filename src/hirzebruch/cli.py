@@ -161,6 +161,9 @@ def _cmd_chern(args) -> int:
         return EXIT_OK
     with open(args.data) as fh:
         X = chern_data_from_json(json.load(fh))
+    if X.dimension > CAPS["kn"]:
+        raise UsageError(f"chern --data dimension must be at most {CAPS['kn']}, "
+                         f"got {X.dimension}")
     H = construct(parse_spec(args.series), max(X.dimension, 2))
     K = multiplicative_sequence(H, X.dimension)
     print(format_gaussian(evaluate_genus(K, X)))

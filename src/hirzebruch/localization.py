@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
@@ -99,11 +98,8 @@ def equivariant_genus(H: CharacteristicSeries, fps: FixedPointSet,
     to order `order + n` where n is the number of weights per point.
     """
     coeffs = H.series.truncate(max(order + fps.n, 0)).coeffs
-    if all(c.is_real for c in coeffs):
-        total = _localize_rational(tuple(real_parts(c) for c in coeffs), fps)
-    else:
-        total = _localize_generic(coeffs, fps)
-    return total.truncate(order)
+    kernel = _localize_rational if all(c.is_real for c in coeffs) else _localize_generic
+    return kernel(coeffs, fps).truncate(order)
 
 
 def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
@@ -116,13 +112,6 @@ def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
             prod = factor if prod is None else prod * factor
         total = total + p.sign * prod
     return total
-
-
-@lru_cache(maxsize=64)
-def _integerize(ratios: Tuple[Tuple[int, int], ...]) -> Tuple[int, Tuple[int, ...]]:
-    """One common denominator for (numerator, denominator) pairs."""
-    den = math.lcm(*(d for _, d in ratios))
-    return den, tuple(a * (den // d) for a, d in ratios)
 
 
 def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
@@ -145,40 +134,27 @@ def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
     return out
 
 
-# Keys hold H's numerators, so hits come only from within one sweep; an
-# ar_check sweep with max_n <= 3 makes under 1024 distinct keys, and a
-# larger cache only grows the process across series.
-@lru_cache(maxsize=1024)
-def _point_product(nums: Tuple[int, ...], weights: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Truncated product of the integer factor sequences nums[k]*w^k.
-
-    Symmetric in the weights; callers pass them sorted so repeated
-    tangent patterns across weight tuples hit the cache.
-    """
-    conv = _scaled(nums, weights[0], 1)
-    for w in weights[1:]:
-        conv = _int_product(conv, _scaled(nums, w, 1))
-    return tuple(conv)
-
-
-def _localize_rational(ratios: Tuple[Tuple[int, int], ...],
+def _localize_rational(coeffs: Sequence[GaussianRational],
                        fps: FixedPointSet) -> LaurentSeries:
     """Integer fast path for real-coefficient series; exact."""
     n = fps.n
-    den, nums = _integerize(ratios)
+    ratios = [real_parts(c) for c in coeffs]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = [a * (den // d) for a, d in ratios]
     size = len(nums)  # degrees -n .. len(nums) - 1 - n, shifted by n
-    base = den ** n
     wprods = [math.prod(p.weights) for p in fps.points]
     shared = math.lcm(*(abs(w) for w in wprods))
     totals = [0] * size
     for p, wprod in zip(fps.points, wprods):
         # w * F_H(w t) has integer numerators nums[k] * w^k at degree k - 1
-        conv = _point_product(nums, tuple(sorted(p.weights)))
+        conv = _scaled(nums, p.weights[0], 1)
+        for w in p.weights[1:]:
+            conv = _int_product(conv, _scaled(nums, w, 1))
         scale = p.sign * (shared // wprod)
         for k in range(size):
             if conv[k]:
                 totals[k] += conv[k] * scale
-    den_total = base * shared
+    den_total = den ** n * shared
     return LaurentSeries(-n, [from_parts(q, 0, den_total) for q in totals])
 
 

@@ -224,7 +224,10 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
     and `trials` seeded-random distinct tuples in [-20, 20]; it stops at
     the first nonconstant result. The gapped tuples cover max_n up to 6.
     Weights enter as differences w_j - w_i, so the degree-1 coefficient is
-    always zero: `order` must be at least 2, or every series passes.
+    always zero: `order` must be at least 2, or every series passes. For
+    the same reason a translate or reordering of a tuple already checked
+    gives the same sum: it is counted in `tuples_checked` but not
+    localized again.
     """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
@@ -241,6 +244,7 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
             f"{order + max_n}, have {H.order}")
     rng = random.Random(seed)
     checked: List[WeightTuple] = []
+    shapes = set()
     for m in range(1, max_n + 1):
         tuples = _base_tuples(m)
         universe = range(-20, 21)
@@ -248,6 +252,11 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
             tuples.append(tuple(rng.sample(universe, m + 1)))
         for weights in tuples:
             checked.append(weights)
+            low = min(weights)
+            shape = tuple(sorted(w - low for w in weights))
+            if shape in shapes:
+                continue
+            shapes.add(shape)
             s = equivariant_genus(H, cpn_fixed_points(weights), order)
             bad = _nonconstant_witness(s)
             if bad is not None:

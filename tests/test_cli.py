@@ -103,6 +103,28 @@ def test_chern_data_with_json_is_a_usage_error(capsys, monkeypatch, tmp_path):
     assert (code, out) == (1, "") and "--json" in err
 
 
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("dimension", [24, 25])
+def test_chern_data_dimension_is_capped_like_kn(capsys, monkeypatch, tmp_path, dimension):
+    # K_n is built from the file's dimension, so --data honours the --kn cap
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr("hirzebruch.cli.construct", reached)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"dimension": dimension, "numbers": []}))
+    argv = ("chern", "--series", "todd", "--data", str(path))
+    if dimension == 24:
+        with pytest.raises(Reached):
+            main(list(argv))
+        return
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "") and "dimension must be at most 24, got 25" in err
+
+
 def test_localize_weights_shorthand(capsys):
     code, out, _ = run(capsys, "localize", "--series", "todd", "--weights", "1,0",
                        "--order", "6")

@@ -15,14 +15,12 @@ from hirzebruch.localization import (
     FixedPointSet,
     _int_product,
     _localize_generic,
-    _point_product,
     ahbr_value,
     cpn_fixed_points,
     equivariant_genus,
     fixed_points_from_json,
     sign_counts,
 )
-from hirzebruch.rigidity import ar_check
 from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries, truncated_product
 
 
@@ -184,16 +182,6 @@ def test_complex_series_uses_generic_path():
     s = equivariant_genus(H, cpn_fixed_points([1, 0]), 4)
     assert s.coefficient(0) == h_n(H, 1)
     assert s.valuation >= 0
-
-
-def test_one_ar_check_sweep_fits_the_point_product_cache():
-    # keys hold H's numerators, so entries only repeat within one sweep;
-    # the cache must hold a whole sweep, or it evicts what the sweep reuses
-    H = construct(parse_spec("dab:a=1/2,b=1/3"), 23)
-    _point_product.cache_clear()
-    assert ar_check(H, 3, 20, 100).passed
-    info = _point_product.cache_info()
-    assert info.hits and info.misses <= info.maxsize
 
 
 # -- Chern numbers from fixed points (Atiyah-Bott) --------------------------------

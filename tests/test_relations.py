@@ -7,7 +7,10 @@ with s = x + y.
 
 None of them needs a reference value. Each runs over every catalog family,
 with real and with complex parameters, through the coefficients, h_n, K_n
-and the localization sum on signed fixed-point data.
+and the localization sum on signed fixed-point data. A fourth relation is
+one of the action, not of H: the CP^n localization sum reads only the
+differences w_k - w_i, so a shuffled translate of the weights gives the
+same series.
 """
 import functools
 
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 from hirzebruch.catalog import FAMILIES, SeriesSpec, construct, h_n
 from hirzebruch.chern import k_polynomials
 from hirzebruch.gaussian import GaussianRational
-from hirzebruch.localization import FixedPoint, FixedPointSet, equivariant_genus
+from hirzebruch.localization import FixedPoint, FixedPointSet, cpn_fixed_points, equivariant_genus
 from hirzebruch.rigidity import classify
 from hirzebruch.series import LaurentSeries
 
@@ -53,6 +56,10 @@ fixed_point_sets = st.one_of([st.lists(
               st.lists(st.integers(-5, 5).filter(bool), min_size=n, max_size=n).map(tuple),
               st.sampled_from([1, -1])),
     min_size=1, max_size=3).map(lambda points: FixedPointSet(tuple(points))) for n in (1, 2, 3)])
+
+
+cpn_weights = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.integers(-6, 6), min_size=n + 1, max_size=n + 1, unique=True))
 
 
 def negated(fps):
@@ -120,3 +127,15 @@ def test_scaling_x_and_y_scales_the_argument(family, kind, data, fps):
     order = ORDER - fps.n
     assert (equivariant_genus(T, fps, order)
             == lam ** fps.n * equivariant_genus(H, fps, order).scale_argument(lam))
+
+
+@relation_cases
+@settings(max_examples=2, deadline=None)
+@given(data=st.data(), w=cpn_weights, shift=st.integers(-9, 9))
+def test_shuffled_translates_of_cpn_weights_give_the_same_sum(family, kind, data, w, shift):
+    spec = data.draw(specs(family, kind))
+    moved = data.draw(st.permutations([v + shift for v in w]))
+    H = construct(spec, ORDER)
+    order = ORDER - (len(w) - 1)
+    assert (equivariant_genus(H, cpn_fixed_points(moved), order)
+            == equivariant_genus(H, cpn_fixed_points(w), order))

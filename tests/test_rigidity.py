@@ -262,6 +262,51 @@ def test_ar_check_fails_with_scaling_law_witness():
     assert coeff == 2 * w * w
 
 
+def shape(weights):
+    return tuple(sorted(w - min(weights) for w in weights))
+
+
+def test_ar_check_localizes_each_shape_once(monkeypatch):
+    calls = []
+
+    def counted(H, fps, order):
+        calls.append(fps)
+        return equivariant_genus(H, fps, order)
+
+    monkeypatch.setattr("hirzebruch.rigidity.equivariant_genus", counted)
+    report = ar_check(construct(parse_spec("todd"), 14), max_n=2, order=12, trials=0)
+    assert report.passed
+    assert len(report.tuples_checked) == 124
+    assert len(calls) == len({shape(w) for w in report.tuples_checked}) == 39
+
+
+def reference_sweep(H, tuples, order):
+    """(passed, witness) from localizing every tuple, translates included."""
+    for weights in tuples:
+        bad = _nonconstant_witness(equivariant_genus(H, cpn_fixed_points(weights), order))
+        if bad is not None:
+            return False, (weights, *bad)
+    return True, None
+
+
+@pytest.mark.parametrize("text, bump", [
+    ("todd", 0), ("todd", Fraction(1, 9)),
+    ("dab:a=1/2+i,b=1/3", 0), ("dab:a=1/2+i,b=1/3", GaussianRational(1, 2)),
+    ("euler:a=-3", 0), ("gab:a=3/5+i,b=-2/7", Fraction(-1, 5)),
+])
+def test_ar_check_agrees_with_localizing_every_tuple(text, bump):
+    # bump adds to the t^6 term, which leaves AR^1 but not AR^2 standing
+    # on an even series minus its r1*t
+    order, max_n = 8, 3
+    H = construct(parse_spec(text), order + max_n)
+    coeffs = list(H.series.coeffs)
+    coeffs[6] = coeffs[6] + bump
+    H = CharacteristicSeries(PowerSeries(coeffs))
+    report = ar_check(H, max_n=max_n, order=order, trials=10, seed=3)
+    assert report.passed == (not bump)
+    assert (report.passed, report.witness) == reference_sweep(H, report.tuples_checked, order)
+
+
 def test_ar_check_insufficient_order():
     H = construct(parse_spec("todd"), 10)
     with pytest.raises(InsufficientOrderError):

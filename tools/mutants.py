@@ -7,8 +7,9 @@ Each entry is (name, file, old text, new text, test expected to kill it).
 The old text must occur exactly once in the file, so a stale entry fails
 loudly instead of testing nothing. A mutant is killed when tier-1 (`-x`)
 fails on the mutated copy; the first failing test is reported next to the
-expected killer. Not part of tier-1: each mutant costs a tier-1 run, so CI
-runs it as a job of its own.
+expected killer. Hypothesis runs under the `mutants` profile of
+tests/conftest.py, without the explain phase. Not part of tier-1: each
+mutant costs a tier-1 run, so CI runs it as a job of its own.
 """
 import os
 import shutil
@@ -67,6 +68,11 @@ MUTANTS = [
     ("int-product-drops-top-degree", S + "localization.py", "for j in range(size - i):",
      "for j in range(size - i - 1):",
      "test_localization.py::test_fast_and_generic_paths_agree[0-real]"),
+    ("shape-ignores-translation", S + "rigidity.py", "low = min(weights)", "low = 0",
+     "test_rigidity.py::test_ar_check_localizes_each_shape_once"),
+    ("shape-too-coarse", S + "rigidity.py", "shape = tuple(sorted(w - low for w in weights))",
+     "shape = (len(weights), max(weights) - low)",
+     "test_rigidity.py::test_ar_check_localizes_each_shape_once"),
     ("sqrt-real-sign", S + "gaussian.py", "if y < 0:", "if y <= 0:",
      "test_cli_golden.py::test_cli_golden[classify --series todd]"),
     ("div-zero-check-real-only", S + "gaussian.py",
@@ -87,7 +93,8 @@ def run(name, path, old, new, killer):
             return f"STALE    {name}: old text occurs {text.count(old)} times in {path}"
         target.write_text(text.replace(old, new))
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+             "--hypothesis-profile=mutants", "tests"],
             cwd=tmp, env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
             capture_output=True, text=True)
     first = next((line.split(" ", 1)[1].split(" - ")[0] for line in proc.stdout.splitlines()
