@@ -5,18 +5,18 @@ s = x + y, whose value on CP^n is (x^(n+1) - (-y)^(n+1))/(x + y). The one
 table FAMILIES maps each family to its parameter names and its (x, y):
 euler (1 + a*t, the removable case x + y = 0), todd (t/(1-exp(-t))), ty and
 txy (the one- and two-parameter Todd deformations), dab (t*(a*coth(a*t)+b))
-and gab (t*(a*cot(a*t)+b)). The family file (arbitrary coefficients loaded
-from a JSON series file) maps to None.
+and gab (t*(a*cot(a*t)+b)). A series stored in a file is not a family: the
+catalog reads no files, and the command line's `--series file:PATH` loads
+one through the series module's reader.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
-from .series import PowerSeries, exp_series, log_series, series_from_json
+from .series import PowerSeries, exp_series, log_series
 
 DEFAULT_ORDER = 16
 
@@ -28,14 +28,13 @@ class Family(NamedTuple):
     xy: Callable[..., Tuple[GaussianRational, GaussianRational]]
 
 
-FAMILIES: Mapping[str, Optional[Family]] = {
+FAMILIES: Mapping[str, Family] = {
     "euler": Family(("a",), lambda a: (a, -a)),
     "todd": Family((), lambda: (GR_ONE, GR_ZERO)),
     "ty": Family(("y",), lambda y: (GR_ONE, y)),
     "txy": Family(("x", "y"), lambda x, y: (x, y)),
     "dab": Family(("a", "b"), lambda a, b: (a + b, a - b)),
     "gab": Family(("a", "b"), lambda a, b: (GR_I * a + b, GR_I * a - b)),
-    "file": None,
 }
 
 
@@ -45,47 +44,39 @@ class SeriesSpec:
 
     family: str
     params: Mapping[str, GaussianRational] = field(default_factory=dict)
-    path: Optional[str] = None
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown series family {self.family!r}")
-        family = FAMILIES[self.family]
-        required = family.params if family else ()
+        required = FAMILIES[self.family].params
         missing = [p for p in required if p not in self.params]
         if missing:
             raise ValueError(f"family {self.family!r} is missing parameters {missing}")
         extra = [p for p in self.params if p not in required]
         if extra:
             raise ValueError(f"family {self.family!r} does not take parameters {extra}")
-        if self.family == "file" and not self.path:
-            raise ValueError("family 'file' needs a path")
 
     def __str__(self) -> str:
         return format_spec(self)
 
 
 def parse_spec(text: str) -> SeriesSpec:
-    """Parse the CLI mini-grammar, e.g. "todd", "dab:a=1,b=1/2", "file:H.json"."""
+    """Parse the spec mini-grammar, e.g. "todd" or "dab:a=1,b=1/2"."""
     family, _, rest = text.partition(":")
-    family = family.strip()
-    if family == "file":
-        if not rest:
-            raise ValueError("file spec needs a path, e.g. file:series.json")
-        return SeriesSpec("file", {}, rest)
     params = {}
     if rest:
         for item in rest.split(","):
             name, eq, value = item.partition("=")
             if not eq:
                 raise ValueError(f"malformed parameter {item!r} in series spec {text!r}")
-            params[name.strip()] = parse_gaussian(value)
-    return SeriesSpec(family, params)
+            name = name.strip()
+            if name in params:
+                raise ValueError(f"parameter {name!r} is given twice in series spec {text!r}")
+            params[name] = parse_gaussian(value)
+    return SeriesSpec(family.strip(), params)
 
 
 def format_spec(spec: SeriesSpec) -> str:
-    if spec.family == "file":
-        return f"file:{spec.path}"
     if not spec.params:
         return spec.family
     items = ",".join(f"{k}={format_gaussian(v)}" for k, v in sorted(spec.params.items()))
@@ -131,28 +122,17 @@ def _hxy(x: GaussianRational, y: GaussianRational, order: int) -> PowerSeries:
     return phi.inverse() + PowerSeries.monomial(1, order, x)
 
 
-def _xy(spec: SeriesSpec) -> Optional[Tuple[GaussianRational, GaussianRational]]:
-    """The (x, y) of H_{x,y} for a parametric family, None for file."""
+def _xy(spec: SeriesSpec) -> Tuple[GaussianRational, GaussianRational]:
+    """The (x, y) of H_{x,y} for the spec's family and parameters."""
     family = FAMILIES[spec.family]
-    if family is None:
-        return None
     return family.xy(*(spec.params[p] for p in family.params))
 
 
 def construct(spec: SeriesSpec, order: int = DEFAULT_ORDER) -> CharacteristicSeries:
-    """Expand the named characteristic series exactly up to `order` (a file
-    series stored to fewer degrees keeps all of them)."""
+    """Expand the named characteristic series exactly up to `order`."""
     if order < 2:
         raise ValueError("construction order must be at least 2")
-    xy = _xy(spec)
-    if xy is None:
-        with open(spec.path) as fh:
-            data = json.load(fh)
-        series = series_from_json(data).power_part()
-        series = series.truncate(min(order, series.order))
-    else:
-        series = _hxy(*xy, order)
-    return CharacteristicSeries(series, spec)
+    return CharacteristicSeries(_hxy(*_xy(spec), order), spec)
 
 
 def h_n(H: CharacteristicSeries, n: int) -> GaussianRational:
@@ -199,10 +179,7 @@ def closed_form_cpn(spec: SeriesSpec, n: int) -> GaussianRational:
     (x^(n+1) - (-y)^(n+1))/(x + y), or its limit (n+1)*x^n when x + y = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    xy = _xy(spec)
-    if xy is None:
-        raise ValueError(f"no closed form for family {spec.family!r}")
-    x, y = xy
+    x, y = _xy(spec)
     if not x + y:
         return (n + 1) * x ** n
     return (x ** (n + 1) - (-y) ** (n + 1)) / (x + y)

@@ -21,8 +21,8 @@ Partition = Tuple[int, ...]
 
 
 def make_partition(parts: Sequence[int]) -> Partition:
-    if any(p < 1 for p in parts):
-        raise ValueError("partition parts must be positive integers")
+    if any(type(p) is not int or p < 1 for p in parts):
+        raise ValueError(f"partition parts must be positive integers, got {list(parts)}")
     return tuple(sorted(parts, reverse=True))
 
 
@@ -223,8 +223,12 @@ def cpn_chern_numbers(n: int) -> ChernData:
 
 def chern_data_from_json(data: dict) -> ChernData:
     try:
-        dimension = int(data["dimension"])
+        dimension = data["dimension"]
+        if type(dimension) is not int:
+            raise ValueError(f"dimension must be an integer, got {dimension!r}")
         entries = data["numbers"]
+        if any(type(e["value"]) not in (int, str) for e in entries):  # a float is not exact
+            raise ValueError("Chern numbers must be strings or integers")
         numbers = _by_partition(dimension, [(e["partition"], parse_gaussian(str(e["value"])))
                                            for e in entries])
     except (KeyError, TypeError, ValueError) as exc:

@@ -14,6 +14,7 @@ from typing import List, Optional
 from .catalog import (
     DEFAULT_ORDER,
     FAMILIES,
+    CharacteristicSeries,
     closed_form_cpn,
     construct,
     format_spec,
@@ -33,12 +34,16 @@ from .localization import (
     fixed_points_from_json,
 )
 from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented
-from .series import series_to_json
+from .series import series_from_json, series_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
-CAPS = {"order": 512, "n": 512, "kn": 24}  # largest --order, cpn --n and chern --kn
+# largest --order, cpn --n, chern --kn and rigidity --trials
+CAPS = {"order": 512, "n": 512, "kn": 24, "trials": 200}
+# largest localize work points * n * (order + n)^2, for n weights per point:
+# the growth of the localization sum's integer products
+LOCALIZE_WORK = 2_000_000
 
 
 class UsageError(Exception):
@@ -103,20 +108,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str):
+    """Every input file (a `file:` series, --data, --input) is read here."""
+    with open(path) as fh:
+        return json.load(fh)
+
+
+def _series(text: str, order: int) -> CharacteristicSeries:
+    """`--series` to `order`: a catalog spec, or file:PATH, a JSON series
+    file that keeps at most `order` of its stored degrees."""
+    family, _, path = text.partition(":")
+    if family != "file":
+        return construct(parse_spec(text), order)
+    if not path:
+        raise ValueError("file spec needs a path, e.g. file:series.json")
+    if order < 2:
+        raise ValueError("construction order must be at least 2")
+    series = series_from_json(_read_json(path)).power_part()
+    return CharacteristicSeries(series.truncate(min(order, series.order)))
+
+
 def _cmd_catalog(args) -> int:
     for name, family in FAMILIES.items():
-        if family is None:
-            print("file:PATH  (JSON series file)")
-        elif family.params:
-            sig = ",".join(f"{p}=<q(i)>" for p in family.params)
-            print(f"{name}:{sig}")
-        else:
-            print(name)
+        sig = ",".join(f"{p}=<q(i)>" for p in family.params)
+        print(f"{name}:{sig}" if sig else name)
+    print("file:PATH  (JSON series file)")
     return EXIT_OK
 
 
 def _cmd_expand(args) -> int:
-    H = construct(parse_spec(args.series), args.order)
+    H = _series(args.series, args.order)
     if args.json:
         print(json.dumps(series_to_json(H.series)))
     else:
@@ -127,13 +148,13 @@ def _cmd_expand(args) -> int:
 def _cmd_cpn(args) -> int:
     if args.n < 0:
         raise UsageError("--n must be nonnegative")
-    spec = parse_spec(args.series)
-    if args.closed_form and spec.family == "file":
+    if args.closed_form and args.series.partition(":")[0] == "file":
         raise UsageError("--closed-form is not available for file series")
-    value = h_n(construct(spec, max(args.n, 2)), args.n)
+    H = _series(args.series, max(args.n, 2))
+    value = h_n(H, args.n)
     print(format_gaussian(value))
     if args.closed_form:
-        expected = closed_form_cpn(spec, args.n)
+        expected = closed_form_cpn(H.spec, args.n)
         print(f"closed form: {format_gaussian(expected)}")
         if expected != value:
             print("MISMATCH between series expansion and closed form", file=sys.stderr)
@@ -149,7 +170,7 @@ def _cmd_chern(args) -> int:
     if args.kn is not None:
         if args.kn < 0:
             raise UsageError("--kn must be nonnegative")
-        H = construct(parse_spec(args.series), max(args.kn, 2))
+        H = _series(args.series, max(args.kn, 2))
         K = multiplicative_sequence(H, args.kn)
         if args.json:
             print(json.dumps(graded_poly_to_json(K)))
@@ -159,12 +180,11 @@ def _cmd_chern(args) -> int:
             for lam, value in K.items_sorted():
                 print(f"{list(lam)}: {format_gaussian(value)}")
         return EXIT_OK
-    with open(args.data) as fh:
-        X = chern_data_from_json(json.load(fh))
+    X = chern_data_from_json(_read_json(args.data))
     if X.dimension > CAPS["kn"]:
         raise UsageError(f"chern --data dimension must be at most {CAPS['kn']}, "
                          f"got {X.dimension}")
-    H = construct(parse_spec(args.series), max(X.dimension, 2))
+    H = _series(args.series, max(X.dimension, 2))
     K = multiplicative_sequence(H, X.dimension)
     print(format_gaussian(evaluate_genus(K, X)))
     return EXIT_OK
@@ -180,9 +200,12 @@ def _cmd_localize(args) -> int:
             raise UsageError(f"--weights must be comma-separated integers, got {args.weights!r}")
         fps = cpn_fixed_points(weights)
     else:
-        with open(args.input) as fh:
-            fps = fixed_points_from_json(json.load(fh))
-    H = construct(parse_spec(args.series), args.order + fps.n)
+        fps = fixed_points_from_json(_read_json(args.input))
+    work = len(fps.points) * fps.n * (max(args.order, 0) + fps.n) ** 2
+    if work > LOCALIZE_WORK:
+        raise UsageError(f"localize work points*n*(order+n)^2 must be at most "
+                         f"{LOCALIZE_WORK}, got {work}")
+    H = _series(args.series, args.order + fps.n)
     s = equivariant_genus(H, fps, args.order)
     if args.json:
         print(json.dumps(series_to_json(s)))
@@ -192,7 +215,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
-    H = construct(parse_spec(args.series), args.order + args.max_n)
+    H = _series(args.series, args.order + args.max_n)
     report = ar_check(H, args.max_n, args.order, args.trials, args.seed)
     if args.json:
         print(json.dumps(report.to_json()))
@@ -207,7 +230,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    H = construct(parse_spec(args.series), args.order)
+    H = _series(args.series, args.order)
     try:
         report = classify_oriented(H) if args.oriented else classify(H)
     except NotEvenSeriesError as exc:

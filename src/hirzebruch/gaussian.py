@@ -249,6 +249,13 @@ def format_gaussian(z: GaussianRational) -> str:
     return f"{re}{'+' if im > 0 else ''}{imag}"
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:  # "1/0" is malformed, like any other bad literal
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def parse_gaussian(text: str) -> GaussianRational:
     """Parse a Gaussian rational literal, e.g. "-3/4", "1/2+2/3i", "i"."""
     s = text.replace(" ", "")
@@ -270,11 +277,11 @@ def parse_gaussian(text: str) -> GaussianRational:
             if im_part is not None:
                 raise ValueError(f"two imaginary parts in {text!r}")
             body = term[:-1]
-            im_part = Fraction(body + "1" if body in ("", "+", "-") else body)
+            im_part = _fraction(body + "1" if body in ("", "+", "-") else body)
         else:
             if re_part is not None:
                 raise ValueError(f"two real parts in {text!r}")
-            re_part = Fraction(term)
+            re_part = _fraction(term)
     return GaussianRational(re_part or 0, im_part or 0)
 
 

@@ -23,12 +23,14 @@ class FixedPoint:
     sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(self.weights))
         if not self.weights:
             raise ValueError("a fixed point needs at least one weight")
+        if any(type(w) is not int for w in self.weights):  # 1.5 is refused, not read as 1
+            raise ValueError(f"fixed-point weights must be integers, got {list(self.weights)}")
         if any(w == 0 for w in self.weights):
             raise ValueError("fixed-point weights must be nonzero")
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise ValueError("fixed-point sign must be +1 or -1")
 
     @property
@@ -60,7 +62,7 @@ def cpn_fixed_points(w: Sequence[int]) -> FixedPointSet:
 
     Point i has tangent weights {w_k - w_i : k != i} and sign +1.
     """
-    w = [int(x) for x in w]
+    w = list(w)
     if len(w) < 2:
         raise ValueError("need at least two weights")
     if len(set(w)) != len(w):
@@ -163,7 +165,7 @@ def _localize_rational(coeffs: Sequence[GaussianRational],
 
 def fixed_points_from_json(data: dict) -> FixedPointSet:
     try:
-        points = tuple(FixedPoint(tuple(e["weights"]), int(e.get("sign", 1)))
+        points = tuple(FixedPoint(tuple(e["weights"]), e.get("sign", 1))
                        for e in data["points"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed fixed-point file: {exc}") from exc

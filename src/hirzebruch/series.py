@@ -406,18 +406,25 @@ def series_to_json(f: Union[PowerSeries, LaurentSeries]) -> dict:
 
 
 def series_from_json(data: dict) -> LaurentSeries:
+    """Read `series_to_json` output. Exact input only: valuation and order
+    are ints, and each "re"/"im" is a string or an int; a float (0.1 is not
+    1/10) or a bool is refused."""
     try:
-        valuation = int(data["valuation"])
-        order = int(data["order"])
-        raw = data["coeffs"]
-    except (KeyError, TypeError, ValueError) as exc:
+        valuation, order, raw = data["valuation"], data["order"], data["coeffs"]
+        if type(valuation) is not int or type(order) is not int:
+            raise TypeError("valuation and order must be integers")
+        count = len(raw)
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed series file: {exc}") from exc
-    if len(raw) != order - valuation + 1:
+    if count != order - valuation + 1:
         raise ValueError("series file: coefficient count does not match valuation/order")
     coeffs = []
     for entry in raw:
         try:
-            coeffs.append(GaussianRational(Fraction(entry["re"]), Fraction(entry["im"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            re, im = entry["re"], entry["im"]
+            if type(re) not in (int, str) or type(im) not in (int, str):
+                raise TypeError("coefficient parts must be strings or integers")
+            coeffs.append(GaussianRational(Fraction(re), Fraction(im)))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed series coefficient {entry!r}") from exc
     return LaurentSeries(valuation, coeffs)

@@ -35,11 +35,13 @@ def test_parse_spec_grammar():
     assert spec.family == "dab"
     assert spec.params["a"] == 1 and spec.params["b"] == Fraction(1, 2)
     assert parse_spec("gab:a=i,b=0").params["a"] == GR_I
-    assert parse_spec("file:some/path.json").path == "some/path.json"
+    with pytest.raises(ValueError):
+        parse_spec("file:x")  # a series file is a CLI input, not a family
     assert format_spec(spec) == "dab:a=1,b=1/2"
 
 
-@pytest.mark.parametrize("text", ["nope", "euler", "euler:b=1", "dab:a=1", "txy:x=2,y=3,z=1", "file:"])
+@pytest.mark.parametrize("text", ["nope", "euler", "euler:b=1", "dab:a=1", "txy:x=2,y=3,z=1", "file:",
+                                  "dab:a=1,a=2,b=0"])
 def test_parse_spec_rejects(text):
     with pytest.raises(ValueError):
         parse_spec(text)
@@ -155,19 +157,6 @@ def test_characteristic_series_validation():
         CharacteristicSeries(PowerSeries([1, 0]))
     with pytest.raises(ValueError):
         construct(parse_spec("todd"), 1)
-
-
-def test_construct_from_file(tmp_path):
-    import json
-
-    from hirzebruch.series import series_to_json
-
-    H = construct(parse_spec("ty:y=-1"), 10)
-    path = tmp_path / "series.json"
-    path.write_text(json.dumps(series_to_json(H.series)))
-    loaded = construct(SeriesSpec("file", {}, str(path)))
-    assert loaded.series == H.series
-    assert loaded.series.order == 10
 
 
 # -- h_n ----------------------------------------------------------------------

@@ -263,3 +263,115 @@ def test_determinism(capsys):
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_file_series_keeps_its_usage_errors(capsys, tmp_path):
+    # the `--series file:PATH` loader: an empty path, an order below 2 (refused
+    # before the file is read) and --closed-form (refused before any work)
+    missing = f"file:{tmp_path / 'missing.json'}"
+    code, out, err = run(capsys, "expand", "--series", "file:")
+    assert (code, out) == (1, "") and "needs a path" in err
+    code, out, err = run(capsys, "expand", "--series", missing, "--order", "1")
+    assert (code, out) == (1, "") and "order must be at least 2" in err
+    code, out, err = run(capsys, "cpn", "--series", missing, "--n", "3", "--closed-form")
+    assert (code, out) == (1, "") and "--closed-form is not available" in err
+
+
+ONE = {"re": "1", "im": "0"}
+
+
+@pytest.mark.parametrize("change", [
+    {"coeffs": [ONE, ONE, {"re": 0.1, "im": "0"}]},
+    {"coeffs": [ONE, ONE, {"re": "1/2", "im": 1.0}]},
+    {"coeffs": [ONE, ONE, {"re": True, "im": "0"}]},
+    {"coeffs": [ONE, ONE, {"re": "1/0", "im": "0"}]},
+    {"valuation": 0.0},
+    {"order": 2.9},
+], ids=["float-re", "float-im", "bool-re", "zero-denominator", "float-valuation",
+        "float-order"])
+def test_series_file_values_must_be_exact(capsys, tmp_path, change):
+    # a JSON float is not exact (0.1 would be read as 3602879701896397/2^55)
+    data = {"valuation": 0, "order": 2, "coeffs": [ONE, ONE, ONE], **change}
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "expand", "--series", f"file:{path}")
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("point", [
+    {"weights": [1.5, 3]}, {"weights": [True, 3]}, {"weights": ["1", 3]},
+    {"weights": [1, 3], "sign": 1.9}, {"weights": [1, 3], "sign": True},
+    {"weights": [1, 3], "sign": "1"},
+], ids=["float-weight", "bool-weight", "string-weight", "float-sign", "bool-sign",
+        "string-sign"])
+def test_fixed_point_weights_and_signs_must_be_ints(capsys, tmp_path, point):
+    path = tmp_path / "fps.json"
+    path.write_text(json.dumps({"points": [{"weights": [-1, 2], "sign": 1}, point]}))
+    code, out, err = run(capsys, "localize", "--series", "todd", "--input", str(path))
+    assert (code, out) == (1, "") and "malformed fixed-point file" in err
+
+
+@pytest.mark.parametrize("data", [
+    {"dimension": 3, "numbers": [{"partition": [1.5, 1.5], "value": "4"}]},
+    {"dimension": 2, "numbers": [{"partition": [True, True], "value": "4"}]},
+    {"dimension": 2.0, "numbers": [{"partition": [2], "value": "4"}]},
+    {"dimension": 2, "numbers": [{"partition": [2], "value": 0.5}]},
+], ids=["float-part", "bool-part", "float-dimension", "float-value"])
+def test_chern_data_values_must_be_exact(capsys, tmp_path, data):
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "chern", "--series", "todd", "--data", str(path))
+    assert (code, out) == (1, "") and "malformed Chern data file" in err
+
+
+@pytest.mark.parametrize("spec", ["dab:a=1,a=2,b=0", "euler:a=1/0", "ty:y=1/0i"])
+def test_repeated_parameters_and_zero_denominators_are_refused(capsys, spec):
+    code, out, err = run(capsys, "expand", "--series", spec)
+    assert (code, out) == (1, "") and err.startswith("error: ")
+
+
+def _reached(*args):
+    raise Reached
+
+
+@pytest.mark.parametrize("weights, order", [
+    (range(8), 512),   # both ran for minutes before the cap
+    (range(80), 16),
+    (range(4), 512),
+], ids=["8-weights-order-512", "80-weights", "4-weights-order-512"])
+def test_localize_work_is_capped_before_any_work(capsys, monkeypatch, weights, order):
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    code, out, err = run(capsys, "localize", "--series", "todd", "--weights",
+                         ",".join(map(str, weights)), "--order", str(order))
+    assert (code, out) == (1, "") and "localize work" in err and "at most 2000000" in err
+
+
+def test_localize_input_work_is_capped(capsys, monkeypatch, tmp_path):
+    # the same bound on a fixed-point file: 8 points of 7 weights at order 512
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    path = tmp_path / "fps.json"
+    path.write_text(json.dumps({"points": [
+        {"weights": [wk - wi for wk in range(8) if wk != wi]} for wi in range(8)]}))
+    code, out, err = run(capsys, "localize", "--series", "todd", "--input", str(path),
+                         "--order", "512")
+    assert (code, out) == (1, "") and "localize work" in err
+
+
+@pytest.mark.parametrize("trials", [201, 100000])
+def test_rigidity_trials_are_capped(capsys, monkeypatch, trials):
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    code, out, err = run(capsys, "rigidity", "--series", "todd", "--trials", str(trials))
+    assert (code, out) == (1, "") and f"--trials must be at most 200, got {trials}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["localize", "--series", "todd", "--weights", "0,1,2", "--order", "512"],
+    ["localize", "--series", "todd", "--weights", "0,1,2,3"],
+    ["localize", "--series", "todd", "--weights", ",".join(map(str, range(31)))],
+    ["rigidity", "--series", "todd", "--trials", "200"],
+], ids=["3-weights-order-512", "4-weights", "31-weights", "200-trials"])
+def test_sizes_at_the_new_caps_reach_construct(monkeypatch, argv):
+    # CP^2 at the --order cap, the benchmark's largest CP^3, and each cap's edge
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    with pytest.raises(Reached):
+        main(argv)

@@ -27,7 +27,7 @@ from hirzebruch.series import LaurentSeries
 
 ORDER = 6  # the series order; localization sums go to ORDER - n
 N_MAX = 3  # h_n and K_n for n <= N_MAX
-FAMILY_NAMES = [name for name, family in FAMILIES.items() if family is not None]
+FAMILY_NAMES = list(FAMILIES)
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 VALUES = {

@@ -79,6 +79,19 @@ MUTANTS = [
      "if not (c or e):\n            raise ZeroDivisionError",
      "if not c:\n            raise ZeroDivisionError",
      "test_catalog.py::test_closed_form_examples"),
+    ("file-series-ignores-order", S + "cli.py", "series.truncate(min(order, series.order))",
+     "series.truncate(series.order)", "test_cli.py::test_expand_file_honours_order"),
+    ("series-file-accepts-floats", S + "series.py",
+     "if type(re) not in (int, str) or type(im) not in (int, str):", "if False:",
+     "test_cli.py::test_series_file_values_must_be_exact[float-re]"),
+    ("fixed-point-accepts-floats", S + "localization.py",
+     "if any(type(w) is not int for w in self.weights):", "if False:",
+     "test_cli.py::test_fixed_point_weights_and_signs_must_be_ints[float-weight]"),
+    ("spec-keeps-last-repeat", S + "catalog.py", "if name in params:", "if False:",
+     "test_catalog.py::test_parse_spec_rejects[dab:a=1,a=2,b=0]"),
+    ("localize-work-linear-in-order", S + "cli.py", "(max(args.order, 0) + fps.n) ** 2",
+     "(max(args.order, 0) + fps.n)",
+     "test_cli.py::test_localize_work_is_capped_before_any_work[8-weights-order-512]"),
 ]
 
 
