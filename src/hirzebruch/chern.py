@@ -2,22 +2,34 @@
 
 The degree-n piece K_n of the sequence attached to a characteristic
 series H is computed through power sums: with s_m the coefficients of
-log H and p_m the power sums in c_1..c_m (from log(1 + c_1 t + ...)),
+log H and p_m the power sums in c_1..c_m (the Girard-Waring formula),
 the generating function of the K_n is exp(sum_m s_m p_m t^m).
+
+A graded piece (GradedPoly) and Chern data (ChernData) hold their values
+as a tuple aligned with partitions(degree), zeros included: a sum is
+element-wise and a genus is one inner product of two tuples. Products
+read a product table, built on first use of a run of degree pairs and
+cached, that lists for each partition of the total degree the index
+pairs whose product lands on it. GradedPoly.dot is then one
+`gaussian.dot` per partition, with no partition key built per pair.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from collections import Counter
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, dot, parse_gaussian
-from .series import exp_coefficients, log_coefficients, log_series
+from .series import exp_coefficients, log_series
 
 Partition = Tuple[int, ...]
+Values = Tuple[GaussianRational, ...]  # aligned with partitions(degree)
 
 
 def make_partition(parts: Sequence[int]) -> Partition:
@@ -58,30 +70,82 @@ def _by_partition(degree: int, pairs: Iterable) -> Dict[Partition, GaussianRatio
     return out
 
 
+@lru_cache(maxsize=None)
+def _index(n: int) -> Mapping[Partition, int]:
+    """The position of each partition of n in partitions(n), read-only."""
+    return MappingProxyType({lam: i for i, lam in enumerate(partitions(n))})
+
+
+def _aligned(degree: int, numbers: Mapping[Partition, object]) -> Values:
+    """{parts: value}, checked by _by_partition, as a tuple aligned with
+    partitions(degree)."""
+    values = [GR_ZERO] * len(partitions(degree))
+    index = _index(degree)
+    for lam, value in _by_partition(degree, dict(numbers).items()).items():
+        values[index[lam]] = value
+    return tuple(values)
+
+
+def _nonzero(degree: int, values: Values) -> Mapping[Partition, GaussianRational]:
+    """The nonzero entries of an aligned tuple, as a read-only mapping."""
+    return MappingProxyType({lam: v for lam, v in zip(partitions(degree), values) if v})
+
+
+@lru_cache(maxsize=None)
+def _product_table(run: Tuple[Tuple[int, int], ...]
+                   ) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """Where the products of a run of degree pairs (d1_j, d2_j) of one total
+    degree land: for each partition of that degree, the indices (i1s, i2s)
+    of the pairs lam1 of d1_j, lam2 of d2_j with lam1 + lam2 on it. Indices
+    run over the concatenated partitions(d1_0), partitions(d1_1), ... and
+    partitions(d2_0), ..., as GradedPoly.dot concatenates the values.
+    Built on first use of the run, one entry per distinct run: the exp
+    recurrence for K_n makes one run per degree, a product x*y is the run
+    ((d1, d2),).
+    """
+    index = _index(sum(run[0]))
+    table: List[Tuple[List[int], List[int]]] = [([], []) for _ in index]
+    o1 = o2 = 0
+    for d1, d2 in run:
+        for i1, lam1 in enumerate(partitions(d1), o1):
+            for i2, lam2 in enumerate(partitions(d2), o2):
+                i1s, i2s = table[index[tuple(sorted(lam1 + lam2, reverse=True))]]
+                i1s.append(i1)
+                i2s.append(i2)
+        o1 += len(partitions(d1))
+        o2 += len(partitions(d2))
+    return tuple((tuple(i1s), tuple(i2s)) for i1s, i2s in table)
+
+
 class GradedPoly:
     """A homogeneous polynomial in c_1, c_2, ... indexed by partitions.
 
-    `GradedPoly(degree, terms)` validates its input, then builds the value
-    with the trusted `_graded`, as `+` and `*` do. `terms` is a read-only
-    view, so cached values (power_sum) can be handed out without sharing
-    mutable state. No __bool__: a zero piece stays a GradedPoly.
+    `values` is a tuple aligned with `partitions(degree)`, zeros included,
+    so `+` is element-wise and a product reads its pairs from
+    `_product_table`. `GradedPoly(degree, terms)` validates its input, then
+    builds the value with the trusted `_graded`, as `+` and `*` do. A piece
+    is immutable and `terms` is a read-only view of the nonzero entries, so
+    cached values (power_sum) can be handed out without sharing mutable
+    state. No __bool__: a zero piece stays a GradedPoly.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "values")
 
     def __new__(cls, degree: int, terms: Mapping[Partition, object] = ()):
-        return _graded(degree, _by_partition(degree, dict(terms).items()))
+        return _graded(degree, _aligned(degree, terms))
+
+    @property
+    def terms(self) -> Mapping[Partition, GaussianRational]:
+        return _nonzero(self.degree, self.values)
 
     def __getitem__(self, key: Sequence[int]) -> GaussianRational:
-        return self.terms.get(make_partition(key), GR_ZERO)
+        i = _index(self.degree).get(make_partition(key))
+        return GR_ZERO if i is None else self.values[i]
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         if self.degree != other.degree:
             raise ValueError("cannot add graded pieces of different degrees")
-        terms = dict(self.terms)
-        for key, value in other.terms.items():
-            terms[key] = terms.get(key, GR_ZERO) + value
-        return _graded(self.degree, terms)
+        return _graded(self.degree, tuple(map(operator.add, self.values, other.values)))
 
     def __radd__(self, other: int) -> "GradedPoly":
         """0 + self, so sums can start from the int 0."""
@@ -94,7 +158,7 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             return GradedPoly.dot((self,), (other,))
         c = as_gaussian(other)
-        return _graded(self.degree, {k: c * v for k, v in self.terms.items()})
+        return _graded(self.degree, tuple(c * v for v in self.values))
 
     __rmul__ = __mul__
 
@@ -102,19 +166,20 @@ class GradedPoly:
     def dot(xs: Sequence["GradedPoly"], ys: Sequence["GradedPoly"]) -> "GradedPoly":
         """sum_j xs[j]*ys[j] for a nonempty run of pairs of one total degree.
 
-        Every product of a term of x_j with a term of y_j is collected by
-        its partition, and each partition's coefficient is one `gaussian.dot`.
+        For each partition of the total degree, the value pairs that
+        `_product_table` lists for it are gathered over every j, and its
+        coefficient is one `gaussian.dot`.
         """
         degree = xs[0].degree + ys[0].degree
-        pairs: Dict[Partition, List[Tuple[GaussianRational, GaussianRational]]] = {}
+        run = []
         for x, y in zip(xs, ys):
             if x.degree + y.degree != degree:
                 raise ValueError("cannot add graded pieces of different degrees")
-            for k1, v1 in x.terms.items():
-                for k2, v2 in y.terms.items():
-                    key = tuple(sorted(k1 + k2, reverse=True))
-                    pairs.setdefault(key, []).append((v1, v2))
-        return _graded(degree, {key: dot(*zip(*vs)) for key, vs in pairs.items()})
+            run.append((x.degree, y.degree))
+        X = [v for x in xs for v in x.values]
+        Y = [v for y in ys for v in y.values]
+        return _graded(degree, tuple(dot(map(X.__getitem__, i1s), map(Y.__getitem__, i2s))
+                                     for i1s, i2s in _product_table(tuple(run))))
 
     def evaluate(self, values: Sequence[object]) -> GaussianRational:
         """Substitute numeric Chern values; values[j-1] is the value of c_j.
@@ -123,46 +188,53 @@ class GradedPoly:
         prod_{j in key} values[j-1]; a c_j with no value is a ValueError.
         """
         vals = [as_gaussian(v) for v in values]
-        for key in self.terms:
+        terms = self.terms
+        for key in terms:
             if key and key[0] > len(vals):
                 raise ValueError(f"no value supplied for c_{key[0]}")
-        return dot(self.terms.values(),
-                   [math.prod((vals[j - 1] for j in key), start=GR_ONE) for key in self.terms])
+        return dot(terms.values(),
+                   [math.prod((vals[j - 1] for j in key), start=GR_ONE) for key in terms])
 
     def items_sorted(self):
-        """Terms in the canonical reverse-lexicographic partition order."""
-        return [(lam, self.terms[lam]) for lam in partitions(self.degree) if lam in self.terms]
+        """Nonzero terms in the canonical reverse-lexicographic partition order."""
+        return list(self.terms.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self.values == other.values
 
     __hash__ = None  # type: ignore[assignment]
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"GradedPoly is immutable: cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"GradedPoly is immutable: cannot delete {name}")
 
     def __repr__(self) -> str:
         return f"GradedPoly({self.degree}, {dict(self.terms)!r})"
 
 
-def _graded(degree: int, terms: Dict[Partition, GaussianRational]) -> GradedPoly:
-    """Trusted: canonical partitions of `degree` to Q(i); drops zero values."""
+def _graded(degree: int, values: Values) -> GradedPoly:
+    """Trusted: Q(i) values aligned with partitions(degree), zeros included."""
     out = object.__new__(GradedPoly)
-    out.degree, out.terms = degree, MappingProxyType({lam: v for lam, v in terms.items() if v})
+    object.__setattr__(out, "degree", degree)
+    object.__setattr__(out, "values", values)
     return out
-
-
-def chern_class(j: int) -> GradedPoly:
-    return GradedPoly(j, {(j,): GR_ONE})
 
 
 @lru_cache(maxsize=None)
 def power_sum(m: int) -> GradedPoly:
-    """Power sum p_m as a polynomial in c_1..c_m: (-1)^(m-1)*m times the
-    t^m coefficient of log(1 + c_1 t + ... + c_m t^m)."""
+    """Power sum p_m as a polynomial in c_1..c_m, by the Girard-Waring
+    formula: c_lam has coefficient (-1)^(m-l) * m * (l-1)! / prod_j r_j!,
+    where lam has l parts and r_j of them equal j."""
     if m < 1:
         raise ValueError("power sums are defined for m >= 1")
-    q = log_coefficients([None] + [chern_class(j) for j in range(1, m + 1)])
-    return (-1) ** (m - 1) * m * q[m]
+    return _graded(m, tuple(
+        as_gaussian(Fraction((-1) ** (m - len(lam)) * m * math.factorial(len(lam) - 1),
+                             math.prod(map(math.factorial, Counter(lam).values()))))
+        for lam in partitions(m)))
 
 
 def multiplicative_sequence(H: CharacteristicSeries, n: int) -> GradedPoly:
@@ -182,14 +254,22 @@ def k_polynomials(H: CharacteristicSeries, n: int) -> List[GradedPoly]:
 
 @dataclass(frozen=True)
 class ChernData:
-    """Chern numbers of a (possibly formal) stably complex manifold."""
+    """Chern numbers of a (possibly formal) stably complex manifold.
+
+    `ChernData(dimension, numbers)` validates its input. `values` is a
+    tuple aligned with `partitions(dimension)`, as in GradedPoly, and
+    `numbers` becomes a read-only view of the nonzero entries, so a cached
+    value (cpn_chern_numbers) shares no mutable state.
+    """
 
     dimension: int
     numbers: Mapping[Partition, GaussianRational]
+    values: Values = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        numbers = _by_partition(self.dimension, dict(self.numbers).items())
-        object.__setattr__(self, "numbers", numbers)
+        values = _aligned(self.dimension, self.numbers)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "numbers", _nonzero(self.dimension, values))
 
     def __getitem__(self, key: Sequence[int]) -> GaussianRational:
         return self.numbers.get(make_partition(key), GR_ZERO)
@@ -197,14 +277,14 @@ class ChernData:
 
 def evaluate_genus(K: GradedPoly, X: ChernData) -> GaussianRational:
     """Pair the multiplicative-sequence polynomial with Chern numbers: one
-    `gaussian.dot` over the partitions that both K and X hold."""
+    `gaussian.dot` of the two aligned tuples."""
     if K.degree != X.dimension:
         raise ValueError(f"degree {K.degree} polynomial does not match "
                          f"dimension {X.dimension} Chern data")
-    keys = [key for key in K.terms if key in X.numbers]
-    return dot([K.terms[key] for key in keys], [X.numbers[key] for key in keys])
+    return dot(K.values, X.values)
 
 
+@lru_cache(maxsize=None)
 def cpn_chern_numbers(n: int) -> ChernData:
     """Chern numbers of complex projective n-space, from (1 + x)^(n+1)."""
     if n < 1:

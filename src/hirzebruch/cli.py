@@ -33,7 +33,7 @@ from .localization import (
     equivariant_genus,
     fixed_points_from_json,
 )
-from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented
+from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented, sweep_shapes
 from .series import series_from_json, series_to_json
 
 EXIT_OK = 0
@@ -41,8 +41,8 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 # largest --order, cpn --n, chern --kn and rigidity --trials
 CAPS = {"order": 512, "n": 512, "kn": 24, "trials": 200}
-# largest localize work points * n * (order + n)^2, for n weights per point:
-# the growth of the localization sum's integer products
+# largest localization work, of one `localize` run or summed over the shapes
+# of a `rigidity` sweep: see _localize_work
 LOCALIZE_WORK = 2_000_000
 
 
@@ -128,6 +128,20 @@ def _series(text: str, order: int) -> CharacteristicSeries:
     return CharacteristicSeries(series.truncate(min(order, series.order)))
 
 
+def _localize_work(points: int, n: int, order: int, weight: int) -> int:
+    """points * n * (order + n)^2 * (1 + b // 16), for points of n weights whose
+    largest |weight| has b bits: the growth of the localization sum's integer
+    products, whose coefficients gain about order * b bits once b outgrows
+    the heights of H's own coefficients."""
+    return points * n * (max(order, 0) + n) ** 2 * (1 + weight.bit_length() // 16)
+
+
+def _cap_work(work: int) -> None:
+    if work > LOCALIZE_WORK:
+        raise UsageError(f"localize work points*n*(order+n)^2*(1 + bits//16) must be at "
+                         f"most {LOCALIZE_WORK}, got {work}")
+
+
 def _cmd_catalog(args) -> int:
     for name, family in FAMILIES.items():
         sig = ",".join(f"{p}=<q(i)>" for p in family.params)
@@ -201,10 +215,8 @@ def _cmd_localize(args) -> int:
         fps = cpn_fixed_points(weights)
     else:
         fps = fixed_points_from_json(_read_json(args.input))
-    work = len(fps.points) * fps.n * (max(args.order, 0) + fps.n) ** 2
-    if work > LOCALIZE_WORK:
-        raise UsageError(f"localize work points*n*(order+n)^2 must be at most "
-                         f"{LOCALIZE_WORK}, got {work}")
+    _cap_work(_localize_work(len(fps.points), fps.n, args.order,
+                             max(abs(w) for p in fps.points for w in p.weights)))
     H = _series(args.series, args.order + fps.n)
     s = equivariant_genus(H, fps, args.order)
     if args.json:
@@ -215,6 +227,8 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
+    shapes = sweep_shapes(args.max_n, args.order, args.trials, args.seed)
+    _cap_work(sum(_localize_work(len(s), len(s) - 1, args.order, s[-1]) for s in shapes))
     H = _series(args.series, args.order + args.max_n)
     report = ar_check(H, args.max_n, args.order, args.trials, args.seed)
     if args.json:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Set, Tuple
 
 from .catalog import CharacteristicSeries, SeriesSpec, format_spec, h_n
 from .gaussian import GR_ZERO, GaussianRational, as_gaussian, dot, format_gaussian
@@ -215,6 +215,39 @@ def _nonconstant_witness(s: LaurentSeries) -> Optional[Tuple[int, GaussianRation
     return None
 
 
+def _sweep(max_n: int, trials: int, seed: int) -> Iterator[Tuple[WeightTuple, WeightTuple]]:
+    """The weight tuples of an ar_check sweep in order, each with its shape
+    (the sorted weights minus their minimum): for each m <= max_n the base
+    set, then `trials` seeded-random distinct tuples in [-20, 20]."""
+    rng = random.Random(seed)
+    universe = range(-20, 21)
+    for m in range(1, max_n + 1):
+        tuples = _base_tuples(m) + [tuple(rng.sample(universe, m + 1)) for _ in range(trials)]
+        for weights in tuples:
+            low = min(weights)
+            shape = tuple(sorted(w - low for w in weights))
+            yield weights, shape
+
+
+def _check_sweep(max_n: int, order: int, trials: int) -> None:
+    if max_n < 1:
+        raise ValueError("max_n must be at least 1")
+    if order < 2:
+        raise ValueError("ar_check order must be at least 2; below it every series passes")
+    if trials < 0:
+        raise ValueError("trials must be nonnegative")
+    if max_n > _MAX_N:
+        raise ValueError(f"max_n must be at most {_MAX_N}, the largest CP^m "
+                         f"the gapped weight tuples cover")
+
+
+def sweep_shapes(max_n: int, order: int, trials: int, seed: int) -> Set[WeightTuple]:
+    """The shapes that ar_check(H, max_n, order, trials, seed) localizes
+    when every one passes, without localizing any: a bound on its work."""
+    _check_sweep(max_n, order, trials)
+    return {shape for _, shape in _sweep(max_n, trials, seed)}
+
+
 def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
              trials: int = 20, seed: int = 0) -> ARReport:
     """Sample the localization sum over weight tuples and test constancy.
@@ -229,38 +262,22 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
     gives the same sum: it is counted in `tuples_checked` but not
     localized again.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be at least 1")
-    if order < 2:
-        raise ValueError("ar_check order must be at least 2; below it every series passes")
-    if trials < 0:
-        raise ValueError("trials must be nonnegative")
-    if max_n > _MAX_N:
-        raise ValueError(f"max_n must be at most {_MAX_N}, the largest CP^m "
-                         f"the gapped weight tuples cover")
+    _check_sweep(max_n, order, trials)
     if H.order < order + max_n:
         raise InsufficientOrderError(
             f"ar_check at order {order} with max_n {max_n} needs H to order "
             f"{order + max_n}, have {H.order}")
-    rng = random.Random(seed)
     checked: List[WeightTuple] = []
     shapes = set()
-    for m in range(1, max_n + 1):
-        tuples = _base_tuples(m)
-        universe = range(-20, 21)
-        for _ in range(trials):
-            tuples.append(tuple(rng.sample(universe, m + 1)))
-        for weights in tuples:
-            checked.append(weights)
-            low = min(weights)
-            shape = tuple(sorted(w - low for w in weights))
-            if shape in shapes:
-                continue
-            shapes.add(shape)
-            s = equivariant_genus(H, cpn_fixed_points(weights), order)
-            bad = _nonconstant_witness(s)
-            if bad is not None:
-                degree, coeff = bad
-                return ARReport(max_n, order, checked, False,
-                                witness=(weights, degree, coeff))
+    for weights, shape in _sweep(max_n, trials, seed):
+        checked.append(weights)
+        if shape in shapes:
+            continue
+        shapes.add(shape)
+        s = equivariant_genus(H, cpn_fixed_points(weights), order)
+        bad = _nonconstant_witness(s)
+        if bad is not None:
+            degree, coeff = bad
+            return ARReport(max_n, order, checked, False,
+                            witness=(weights, degree, coeff))
     return ARReport(max_n, order, checked, True)

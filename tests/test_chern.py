@@ -2,12 +2,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n, parse_spec
+from hirzebruch.catalog import (
+    FAMILIES,
+    CharacteristicSeries,
+    SeriesSpec,
+    construct,
+    h_n,
+    parse_spec,
+)
 from hirzebruch.chern import (
     ChernData,
     GradedPoly,
-    chern_class,
     chern_data_from_json,
     cpn_chern_numbers,
     evaluate_genus,
@@ -17,8 +25,12 @@ from hirzebruch.chern import (
     partitions,
     power_sum,
 )
-from hirzebruch.gaussian import GaussianRational
-from hirzebruch.series import PowerSeries, exp_coefficients, log_coefficients
+from hirzebruch.gaussian import GaussianRational, dot
+from hirzebruch.series import PowerSeries, exp_coefficients, log_coefficients, log_series
+
+
+def chern_class(j):
+    return GradedPoly(j, {(j,): 1})
 
 
 def rand_fraction(rng):
@@ -53,6 +65,10 @@ def test_cached_power_sum_is_read_only():
     p3 = power_sum(3)
     with pytest.raises(TypeError):
         p3.terms[(3,)] = 0
+    with pytest.raises(AttributeError):
+        p3.values = ()
+    with pytest.raises(AttributeError):
+        del p3.degree
     assert p3.terms == {(3,): 3, (2, 1): -3, (1, 1, 1): 1}
     assert p3 == GradedPoly(3, dict(p3.terms))
 
@@ -335,3 +351,117 @@ def test_zero_k_n_stays_a_graded_poly():
 def test_chern_data_validation():
     with pytest.raises(ValueError):
         ChernData(2, {(3,): 1})
+
+
+# -- the dense kernel against a dict-and-sorted reference ----------------------------
+
+def reference_dot(xs, ys):
+    """sum_j xs[j]*ys[j] over {partition: value} terms: each product of a
+    term of x_j with a term of y_j is keyed by its sorted partition and
+    collected with setdefault, then each key is one gaussian.dot. This is
+    the library's GradedPoly.dot before the product tables."""
+    degree = xs[0].degree + ys[0].degree
+    pairs = {}
+    for x, y in zip(xs, ys):
+        assert x.degree + y.degree == degree
+        for k1, v1 in x.terms.items():
+            for k2, v2 in y.terms.items():
+                key = tuple(sorted(k1 + k2, reverse=True))
+                pairs.setdefault(key, []).append((v1, v2))
+    return GradedPoly(degree, {key: dot(*zip(*vs)) for key, vs in pairs.items()})
+
+
+def reference_power_sum(m):
+    """(-1)^(m-1)*m times the t^m coefficient of log(1 + c_1 t + ... + c_m t^m),
+    by the recurrence k*q_k = k*c_k - sum_{j<k} (j*q_j)*c_{k-j} on reference_dot."""
+    kq = [None, chern_class(1)]
+    for k in range(2, m + 1):
+        kq.append(k * chern_class(k) - reference_dot(kq[1:k], [chern_class(k - j)
+                                                               for j in range(1, k)]))
+    return (-1) ** (m - 1) * kq[m]
+
+
+def reference_k_polynomials(H, n):
+    """K_0..K_n by the exp recurrence k*K_k = sum_j (j*s_j*p_j)*K_{k-j} on reference_dot."""
+    s = log_series(H.series.truncate(n))
+    ja = [j * s.coefficient(j) * reference_power_sum(j) for j in range(1, n + 1)]
+    out = [GradedPoly(0, {(): 1})]
+    for k in range(1, n + 1):
+        out.append(reference_dot(ja[:k], out[::-1]) * Fraction(1, k))
+    return out
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+q_i = st.one_of(st.just(GaussianRational(0)), st.builds(GaussianRational, small),
+                st.builds(GaussianRational, small, small))
+
+
+@st.composite
+def graded_pieces(draw, degree):
+    """A GradedPoly of `degree` on a random subset of its partitions, with
+    Q(i) values that include explicit zeros."""
+    lams = draw(st.lists(st.sampled_from(partitions(degree)), unique=True))
+    return GradedPoly(degree, {lam: draw(q_i) for lam in lams})
+
+
+@st.composite
+def graded_runs(draw):
+    """A run of 1-4 pairs (x_j, y_j) of one total degree, 0..7."""
+    total = draw(st.integers(0, 7))
+    splits = draw(st.lists(st.integers(0, total), min_size=1, max_size=4))
+    return ([draw(graded_pieces(d)) for d in splits],
+            [draw(graded_pieces(total - d)) for d in splits])
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_runs())
+def test_dense_dot_matches_the_dict_reference(run):
+    xs, ys = run
+    product = GradedPoly.dot(xs, ys)
+    assert product == reference_dot(xs, ys)
+    assert all(product.terms.values())  # zero coefficients are not terms
+    assert product == sum(x * y for x, y in zip(xs, ys))
+
+
+def test_power_sums_match_the_log_of_the_total_chern_class():
+    for m in range(1, 11):
+        assert power_sum(m) == reference_power_sum(m), m
+
+
+# every catalog family, with real and with complex parameters (todd has none)
+KN_SPECS = ["todd"] + [
+    f"{family}:" + ",".join(f"{p}={v}" for p, v in zip(FAMILIES[family].params, values))
+    for family in FAMILIES if family != "todd"
+    for values in (("3/2", "-2/7"), ("1/2+3i", "-1/3+i"))]
+
+
+@pytest.mark.parametrize("spec", KN_SPECS)
+def test_k_polynomials_match_the_dict_reference(spec):
+    H = construct(parse_spec(spec), 12)
+    ks, want = k_polynomials(H, 12), reference_k_polynomials(H, 12)
+    assert [dict(K.terms) for K in ks] == [dict(K.terms) for K in want]
+
+
+# -- cached values are read-only -----------------------------------------------------
+
+def test_cached_cpn_chern_numbers_are_read_only():
+    X = cpn_chern_numbers(4)
+    with pytest.raises(TypeError):
+        X.numbers[(4,)] = 0
+    with pytest.raises(TypeError):
+        X.values[0] = 0
+    again = cpn_chern_numbers(4)
+    assert again == X and again[(4,)] == 5 and dict(again.numbers) == dict(X.numbers)
+    assert again.values == tuple(X[lam] for lam in partitions(4))
+
+
+def test_chern_data_from_json_is_read_only():
+    data = {"dimension": 2, "numbers": [{"partition": [1, 1], "value": "9"},
+                                        {"partition": [2], "value": "3"}]}
+    X = chern_data_from_json(data)
+    with pytest.raises(TypeError):
+        X.numbers[(1, 1)] = 1
+    with pytest.raises(TypeError):
+        del X.numbers[(2,)]
+    assert chern_data_from_json(data) == X == cpn_chern_numbers(2)
+    assert X[(1, 1)] == 9

@@ -6,6 +6,7 @@ from hirzebruch.catalog import construct, h_n, parse_spec
 from hirzebruch.chern import cpn_chern_numbers
 from hirzebruch.cli import build_parser, main
 from hirzebruch.gaussian import parse_gaussian
+from hirzebruch.localization import cpn_fixed_points
 
 
 def run(capsys, *argv):
@@ -364,12 +365,53 @@ def test_rigidity_trials_are_capped(capsys, monkeypatch, trials):
     assert (code, out) == (1, "") and f"--trials must be at most 200, got {trials}" in err
 
 
+BIG = str(10 ** 300)  # 997 bits
+
+
+@pytest.mark.parametrize("weights, order", [
+    (f"0,1,{BIG}", 256),    # took 14.5 s, against 0.23 s for 0,1,2
+    ("0,1,32768", 498),     # 16 bits count twice: 2 * 3*2*500^2
+], ids=["301-digit-weight", "16-bit-weight"])
+def test_localize_work_counts_the_weight_size(capsys, monkeypatch, weights, order):
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    code, out, err = run(capsys, "localize", "--series", "todd", "--weights", weights,
+                         "--order", str(order))
+    assert (code, out) == (1, "") and "localize work" in err and "at most 2000000" in err
+
+
+def test_localize_input_work_counts_the_weight_size(capsys, monkeypatch, tmp_path):
+    # the fixed points of the 301-digit CP^2 action, as a file
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    points = cpn_fixed_points([0, 1, int(BIG)]).points
+    path = tmp_path / "fps.json"
+    path.write_text(json.dumps({"points": [{"weights": list(p.weights)} for p in points]}))
+    code, out, err = run(capsys, "localize", "--series", "todd", "--input", str(path),
+                         "--order", "256")
+    assert (code, out) == (1, "") and "localize work" in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--max-n", "3", "--order", "512", "--trials", "0"],   # ran for 61 s
+    ["--max-n", "2", "--order", "79"],
+    ["--max-n", "6", "--order", "12", "--trials", "200"],
+], ids=["max-n-3-order-512", "max-n-2-order-79", "max-n-6-trials-200"])
+def test_rigidity_sweep_work_is_capped_before_any_work(capsys, monkeypatch, extra):
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    code, out, err = run(capsys, "rigidity", "--series", "todd", *extra)
+    assert (code, out) == (1, "") and "localize work" in err and "at most 2000000" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["localize", "--series", "todd", "--weights", "0,1,2", "--order", "512"],
     ["localize", "--series", "todd", "--weights", "0,1,2,3"],
     ["localize", "--series", "todd", "--weights", ",".join(map(str, range(31)))],
     ["rigidity", "--series", "todd", "--trials", "200"],
-], ids=["3-weights-order-512", "4-weights", "31-weights", "200-trials"])
+    ["localize", "--series", "todd", "--weights", "0,1,32767", "--order", "498"],
+    ["rigidity", "--series", "todd", "--max-n", "2", "--order", "78"],
+    ["rigidity", "--series", "todd", "--max-n", "1", "--order", "6"],
+    ["rigidity", "--series", "todd", "--max-n", "1", "--order", "8", "--trials", "3"],
+], ids=["3-weights-order-512", "4-weights", "31-weights", "200-trials", "15-bit-weight",
+        "max-n-2-order-78", "max-n-1-order-6", "max-n-1-order-8-trials-3"])
 def test_sizes_at_the_new_caps_reach_construct(monkeypatch, argv):
     # CP^2 at the --order cap, the benchmark's largest CP^3, and each cap's edge
     monkeypatch.setattr("hirzebruch.cli.construct", _reached)

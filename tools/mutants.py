@@ -21,11 +21,29 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S = "src/hirzebruch/"
 MUTANTS = [
-    ("unsorted-product-key", S + "chern.py", "key = tuple(sorted(k1 + k2, reverse=True))",
-     "key = k1 + k2", "test_chern.py::test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped"),
-    ("trusted-keeps-zeros", S + "chern.py",
-     "MappingProxyType({lam: v for lam, v in terms.items() if v})", "MappingProxyType(dict(terms))",
+    ("unsorted-product-key", S + "chern.py",
+     "table[index[tuple(sorted(lam1 + lam2, reverse=True))]]", "table[index[lam1 + lam2]]",
      "test_chern.py::test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped"),
+    ("trusted-keeps-zeros", S + "chern.py",
+     "MappingProxyType({lam: v for lam, v in zip(partitions(degree), values) if v})",
+     "MappingProxyType(dict(zip(partitions(degree), values)))",
+     "test_chern.py::test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped"),
+    ("product-table-drops-last-pair", S + "chern.py",
+     "tuple((tuple(i1s), tuple(i2s)) for i1s, i2s in table)",
+     "tuple((tuple(i1s[:-1]), tuple(i2s[:-1])) for i1s, i2s in table)",
+     "test_chern.py::test_dense_dot_matches_the_dict_reference"),
+    ("product-table-no-offset", S + "chern.py", "enumerate(partitions(d1), o1)",
+     "enumerate(partitions(d1))", "test_chern.py::test_graded_dot_equals_the_sum_of_products"),
+    ("power-sum-sign-by-degree", S + "chern.py", "(-1) ** (m - len(lam))", "(-1) ** (m - 1)",
+     "test_chern.py::test_power_sum_base_cases"),
+    ("graded-poly-settable", S + "chern.py",
+     "raise AttributeError(f\"GradedPoly is immutable: cannot set {name}\")",
+     "object.__setattr__(self, name, value)",
+     "test_chern.py::test_cached_power_sum_is_read_only"),
+    ("chern-data-numbers-mutable", S + "chern.py",
+     "object.__setattr__(self, \"numbers\", _nonzero(self.dimension, values))",
+     "object.__setattr__(self, \"numbers\", dict(_nonzero(self.dimension, values)))",
+     "test_chern.py::test_cached_cpn_chern_numbers_are_read_only"),
     ("classify-skips-last", S + "rigidity.py", "for k in range(H.order + 1):",
      "for k in range(H.order):", "test_rigidity.py::test_classify_reads_the_last_known_coefficient"),
     ("oriented-skips-last-odd", S + "rigidity.py", "for k in range(1, H.order + 1, 2):",
@@ -59,8 +77,8 @@ MUTANTS = [
     ("reconstruct-drops-last-term", S + "rigidity.py", "dot(g[:k + 1], g[k::-1])",
      "dot(g[:k], g[k::-1])",
      "test_acceptance.py::test_criterion_08_gt_equivalence_and_perturbations"),
-    ("evaluate-genus-drops-first-key", S + "chern.py", "if key in X.numbers]",
-     "if key in X.numbers][1:]",
+    ("evaluate-genus-drops-first-key", S + "chern.py", "return dot(K.values, X.values)",
+     "return dot(K.values[1:], X.values[1:])",
      "test_acceptance.py::test_criterion_12_cross_module_consistency"),
     ("graded-evaluate-skips-last-part", S + "chern.py", "for j in key), start=GR_ONE)",
      "for j in key[:-1]), start=GR_ONE)",
@@ -89,9 +107,13 @@ MUTANTS = [
      "test_cli.py::test_fixed_point_weights_and_signs_must_be_ints[float-weight]"),
     ("spec-keeps-last-repeat", S + "catalog.py", "if name in params:", "if False:",
      "test_catalog.py::test_parse_spec_rejects[dab:a=1,a=2,b=0]"),
-    ("localize-work-linear-in-order", S + "cli.py", "(max(args.order, 0) + fps.n) ** 2",
-     "(max(args.order, 0) + fps.n)",
+    ("localize-work-linear-in-order", S + "cli.py", "(max(order, 0) + n) ** 2",
+     "(max(order, 0) + n)",
      "test_cli.py::test_localize_work_is_capped_before_any_work[8-weights-order-512]"),
+    ("localize-work-ignores-weight-size", S + "cli.py", " * (1 + weight.bit_length() // 16)",
+     "", "test_cli.py::test_localize_work_counts_the_weight_size[301-digit-weight]"),
+    ("sweep-work-largest-shape-only", S + "cli.py", "_cap_work(sum(", "_cap_work(max(",
+     "test_cli.py::test_rigidity_sweep_work_is_capped_before_any_work[max-n-2-order-79]"),
 ]
 
 
