@@ -13,7 +13,6 @@ from .catalog import (
     verify_novikov,
 )
 from .chern import (
-    ChernData,
     GradedPoly,
     cpn_chern_numbers,
     evaluate_genus,

@@ -5,24 +5,25 @@ series H is computed through power sums: with s_m the coefficients of
 log H and p_m the power sums in c_1..c_m (the Girard-Waring formula),
 the generating function of the K_n is exp(sum_m s_m p_m t^m).
 
-A graded piece (GradedPoly) and Chern data (ChernData) hold their values
-as a tuple aligned with partitions(degree), zeros included: a sum is
-element-wise and a genus is one inner product of two tuples. Products
-read a product table, built on first use of a run of degree pairs and
-cached, that lists for each partition of the total degree the index
-pairs whose product lands on it. GradedPoly.dot is then one
-`gaussian.dot` per partition, with no partition key built per pair.
+A graded piece (GradedPoly) holds its values as a tuple aligned with
+partitions(degree), zeros included, so a sum is element-wise. The Chern
+numbers of a manifold M of complex dimension n are a GradedPoly too, whose
+coefficient at lam is c_lam[M], and the genus K_n(c_1, ..., c_n)[M] is one
+inner product of two such tuples. Products read a product table, built on
+first use of a run of degree pairs and cached, that lists for each
+partition of the total degree the index pairs whose product lands on it.
+GradedPoly.dot is then one `gaussian.dot` per partition, with no partition
+key built per pair.
 """
 from __future__ import annotations
 
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
 from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, dot, parse_gaussian
@@ -56,33 +57,28 @@ def partitions(n: int) -> Tuple[Partition, ...]:
     return tuple(out)
 
 
-def _by_partition(degree: int, pairs: Iterable) -> Dict[Partition, GaussianRational]:
-    """{partition: value} of (parts, value) pairs of weight `degree`; two
-    pairs naming the same partition are an error, not merged."""
-    out: Dict[Partition, GaussianRational] = {}
-    for key, value in pairs:
-        if sum(key) != degree:
-            raise ValueError(f"partition {tuple(key)} has weight {sum(key)}, expected {degree}")
-        lam = make_partition(key)
-        if lam in out:
-            raise ValueError(f"partition {list(lam)} is given twice")
-        out[lam] = as_gaussian(value)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _index(n: int) -> Mapping[Partition, int]:
     """The position of each partition of n in partitions(n), read-only."""
     return MappingProxyType({lam: i for i, lam in enumerate(partitions(n))})
 
 
-def _aligned(degree: int, numbers: Mapping[Partition, object]) -> Values:
-    """{parts: value}, checked by _by_partition, as a tuple aligned with
-    partitions(degree)."""
+def _aligned(degree: int, pairs: Iterable) -> Values:
+    """(parts, value) pairs of weight `degree` as a tuple aligned with
+    partitions(degree), zeros included. The one check of partition-indexed
+    input, for GradedPoly(degree, terms) and the JSON reader alike: parts
+    must be positive ints of sum `degree`, and two pairs naming the same
+    partition ([2, 1] and [1, 2], say) are an error, not merged."""
     values = [GR_ZERO] * len(partitions(degree))
-    index = _index(degree)
-    for lam, value in _by_partition(degree, dict(numbers).items()).items():
-        values[index[lam]] = value
+    index, seen = _index(degree), set()
+    for key, value in pairs:
+        lam = make_partition(key)
+        if sum(lam) != degree:
+            raise ValueError(f"partition {lam} has weight {sum(lam)}, expected {degree}")
+        if lam in seen:
+            raise ValueError(f"partition {list(lam)} is given twice")
+        seen.add(lam)
+        values[index[lam]] = as_gaussian(value)
     return tuple(values)
 
 
@@ -118,21 +114,23 @@ def _product_table(run: Tuple[Tuple[int, int], ...]
 
 
 class GradedPoly:
-    """A homogeneous polynomial in c_1, c_2, ... indexed by partitions.
+    """A homogeneous polynomial in c_1, c_2, ... indexed by partitions, or
+    the Chern numbers of a manifold, c_lam[M] at lam.
 
     `values` is a tuple aligned with `partitions(degree)`, zeros included,
     so `+` is element-wise and a product reads its pairs from
-    `_product_table`. `GradedPoly(degree, terms)` validates its input, then
-    builds the value with the trusted `_graded`, as `+` and `*` do. A piece
-    is immutable and `terms` is a read-only view of the nonzero entries, so
-    cached values (power_sum) can be handed out without sharing mutable
-    state. No __bool__: a zero piece stays a GradedPoly.
+    `_product_table`. `GradedPoly(degree, terms)` validates its input with
+    `_aligned`, then builds the value with the trusted `_graded`, as `+`
+    and `*` do. A piece is immutable and `terms` is a read-only view of the
+    nonzero entries, so cached values (power_sum, cpn_chern_numbers) can be
+    handed out without sharing mutable state. No __bool__: a zero piece
+    stays a GradedPoly.
     """
 
     __slots__ = ("degree", "values")
 
-    def __new__(cls, degree: int, terms: Mapping[Partition, object] = ()):
-        return _graded(degree, _aligned(degree, terms))
+    def __new__(cls, degree: int, terms: Mapping[Partition, object]):
+        return _graded(degree, _aligned(degree, terms.items()))
 
     @property
     def terms(self) -> Mapping[Partition, GaussianRational]:
@@ -195,10 +193,6 @@ class GradedPoly:
         return dot(terms.values(),
                    [math.prod((vals[j - 1] for j in key), start=GR_ONE) for key in terms])
 
-    def items_sorted(self):
-        """Nonzero terms in the canonical reverse-lexicographic partition order."""
-        return list(self.terms.items())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
             return NotImplemented
@@ -252,56 +246,32 @@ def k_polynomials(H: CharacteristicSeries, n: int) -> List[GradedPoly]:
     return exp_coefficients(a, GradedPoly(0, {(): GR_ONE}))
 
 
-@dataclass(frozen=True)
-class ChernData:
-    """Chern numbers of a (possibly formal) stably complex manifold.
-
-    `ChernData(dimension, numbers)` validates its input. `values` is a
-    tuple aligned with `partitions(dimension)`, as in GradedPoly, and
-    `numbers` becomes a read-only view of the nonzero entries, so a cached
-    value (cpn_chern_numbers) shares no mutable state.
-    """
-
-    dimension: int
-    numbers: Mapping[Partition, GaussianRational]
-    values: Values = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        values = _aligned(self.dimension, self.numbers)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "numbers", _nonzero(self.dimension, values))
-
-    def __getitem__(self, key: Sequence[int]) -> GaussianRational:
-        return self.numbers.get(make_partition(key), GR_ZERO)
-
-
-def evaluate_genus(K: GradedPoly, X: ChernData) -> GaussianRational:
-    """Pair the multiplicative-sequence polynomial with Chern numbers: one
-    `gaussian.dot` of the two aligned tuples."""
-    if K.degree != X.dimension:
+def evaluate_genus(K: GradedPoly, X: GradedPoly) -> GaussianRational:
+    """K_n(c_1, ..., c_n)[M]: the coefficients of K_n paired with the Chern
+    numbers c_lam[M] held by X, one `gaussian.dot` of two aligned tuples."""
+    if K.degree != X.degree:
         raise ValueError(f"degree {K.degree} polynomial does not match "
-                         f"dimension {X.dimension} Chern data")
+                         f"degree {X.degree} Chern numbers")
     return dot(K.values, X.values)
 
 
 @lru_cache(maxsize=None)
-def cpn_chern_numbers(n: int) -> ChernData:
-    """Chern numbers of complex projective n-space, from (1 + x)^(n+1)."""
+def cpn_chern_numbers(n: int) -> GradedPoly:
+    """Chern numbers of complex projective n-space, from (1 + x)^(n+1):
+    c_lam[CP^n] = prod_{j in lam} binomial(n + 1, j)."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    numbers = {}
-    for lam in partitions(n):
-        value = 1
-        for part in lam:
-            value *= math.comb(n + 1, part)
-        numbers[lam] = GaussianRational(value)
-    return ChernData(n, numbers)
+    return _graded(n, tuple(GaussianRational(math.prod(math.comb(n + 1, j) for j in lam))
+                            for lam in partitions(n)))
 
 
 # -- JSON files ------------------------------------------------------------
 
 
-def chern_data_from_json(data: dict) -> ChernData:
+def chern_data_from_json(data: dict) -> GradedPoly:
+    """{"dimension": n, "numbers": [{"partition": [...], "value": ...}, ...]}
+    as the GradedPoly of degree n whose coefficient at lam is c_lam[M];
+    partitions not listed are zero."""
     try:
         dimension = data["dimension"]
         if type(dimension) is not int:
@@ -309,16 +279,15 @@ def chern_data_from_json(data: dict) -> ChernData:
         entries = data["numbers"]
         if any(type(e["value"]) not in (int, str) for e in entries):  # a float is not exact
             raise ValueError("Chern numbers must be strings or integers")
-        numbers = _by_partition(dimension, [(e["partition"], parse_gaussian(str(e["value"])))
-                                           for e in entries])
+        values = _aligned(dimension, [(e["partition"], parse_gaussian(str(e["value"])))
+                                      for e in entries])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Chern data file: {exc}") from exc
-    return ChernData(dimension, numbers)
+    return _graded(dimension, values)
 
 
 def graded_poly_to_json(K: GradedPoly) -> dict:
     return {
         "degree": K.degree,
-        "terms": [{"partition": list(lam), "value": str(v)} for lam, v in K.items_sorted()],
+        "terms": [{"partition": list(lam), "value": str(v)} for lam, v in K.terms.items()],
     }
-

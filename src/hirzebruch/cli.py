@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from .catalog import (
     DEFAULT_ORDER,
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chern", help="evaluate a genus on Chern numbers, or dump K_n")
     p.add_argument("--series", required=True)
-    p.add_argument("--data", help="ChernData JSON file")
+    p.add_argument("--data", help="Chern-number JSON file")
     p.add_argument("--kn", type=int, help="dump the degree-n sequence polynomial")
     p.add_argument("--json", action="store_true")
 
@@ -134,6 +134,13 @@ def _localize_work(points: int, n: int, order: int, weight: int) -> int:
     products, whose coefficients gain about order * b bits once b outgrows
     the heights of H's own coefficients."""
     return points * n * (max(order, 0) + n) ** 2 * (1 + weight.bit_length() // 16)
+
+
+def _cpn_work(weights: Sequence[int], order: int) -> int:
+    """_localize_work of the CP^n action with these weights, read off the
+    weights alone: k points of k - 1 tangent weights w_j - w_i each, the
+    largest |w_j - w_i| being max(w) - min(w)."""
+    return _localize_work(len(weights), len(weights) - 1, order, max(weights) - min(weights))
 
 
 def _cap_work(work: int) -> None:
@@ -191,15 +198,17 @@ def _cmd_chern(args) -> int:
         elif not K.terms:
             print(f"[{args.kn}]: 0")
         else:
-            for lam, value in K.items_sorted():
+            for lam, value in K.terms.items():
                 print(f"{list(lam)}: {format_gaussian(value)}")
         return EXIT_OK
-    X = chern_data_from_json(_read_json(args.data))
-    if X.dimension > CAPS["kn"]:
+    data = _read_json(args.data)
+    dimension = data.get("dimension") if isinstance(data, dict) else None
+    if type(dimension) is int and dimension > CAPS["kn"]:
         raise UsageError(f"chern --data dimension must be at most {CAPS['kn']}, "
-                         f"got {X.dimension}")
-    H = _series(args.series, max(X.dimension, 2))
-    K = multiplicative_sequence(H, X.dimension)
+                         f"got {dimension}")
+    X = chern_data_from_json(data)
+    H = _series(args.series, max(X.degree, 2))
+    K = multiplicative_sequence(H, X.degree)
     print(format_gaussian(evaluate_genus(K, X)))
     return EXIT_OK
 
@@ -212,11 +221,12 @@ def _cmd_localize(args) -> int:
             weights = [int(w) for w in args.weights.split(",")]
         except ValueError:
             raise UsageError(f"--weights must be comma-separated integers, got {args.weights!r}")
+        _cap_work(_cpn_work(weights, args.order))
         fps = cpn_fixed_points(weights)
     else:
         fps = fixed_points_from_json(_read_json(args.input))
-    _cap_work(_localize_work(len(fps.points), fps.n, args.order,
-                             max(abs(w) for p in fps.points for w in p.weights)))
+        _cap_work(_localize_work(len(fps.points), fps.n, args.order,
+                                 max(abs(w) for p in fps.points for w in p.weights)))
     H = _series(args.series, args.order + fps.n)
     s = equivariant_genus(H, fps, args.order)
     if args.json:
@@ -228,7 +238,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_rigidity(args) -> int:
     shapes = sweep_shapes(args.max_n, args.order, args.trials, args.seed)
-    _cap_work(sum(_localize_work(len(s), len(s) - 1, args.order, s[-1]) for s in shapes))
+    _cap_work(sum(_cpn_work(s, args.order) for s in shapes))
     H = _series(args.series, args.order + args.max_n)
     report = ar_check(H, args.max_n, args.order, args.trials, args.seed)
     if args.json:

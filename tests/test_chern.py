@@ -14,7 +14,6 @@ from hirzebruch.catalog import (
     parse_spec,
 )
 from hirzebruch.chern import (
-    ChernData,
     GradedPoly,
     chern_data_from_json,
     cpn_chern_numbers,
@@ -182,7 +181,7 @@ def test_todd_genus_of_cp2():
 def test_evaluate_genus_zero_data_and_mismatch():
     H = construct(parse_spec("todd"), 4)
     K2 = multiplicative_sequence(H, 2)
-    assert evaluate_genus(K2, ChernData(2, {})) == 0
+    assert evaluate_genus(K2, GradedPoly(2, {})) == 0
     with pytest.raises(ValueError):
         evaluate_genus(K2, cpn_chern_numbers(3))
 
@@ -218,7 +217,7 @@ def test_evaluate_genus_matches_a_fraction_pair_reference_sum():
                       {lam for lam in lams if rng.random() < 0.6}))
     for k_keys, x_keys in cases:
         K = GradedPoly(4, {lam: rand_gaussian(rng) for lam in k_keys})
-        X = ChernData(4, {lam: rand_gaussian(rng) for lam in x_keys})
+        X = GradedPoly(4, {lam: rand_gaussian(rng) for lam in x_keys})
         expected = pair_sum(pair_product(pair(K[lam]), pair(X[lam])) for lam in k_keys & x_keys)
         assert pair(evaluate_genus(K, X)) == expected
 
@@ -296,6 +295,29 @@ def test_chern_data_file_rejects_a_partition_listed_twice():
         chern_data_from_json(data)
 
 
+@pytest.mark.parametrize("degree, pairs", [
+    (2, [((3,), 1)]),
+    (2, [((2, 0), 1)]),
+    (3, [((1.5, 1.5), 1)]),
+    (-1, []),
+    (3, [((2, 1), 1), ((1, 2), 2)]),
+], ids=["wrong-weight", "zero-part", "float-part", "negative-degree", "given-twice"])
+def test_one_validator_refuses_malformed_input_by_both_routes(degree, pairs):
+    # GradedPoly(d, terms) and the JSON reader share one check of their input
+    with pytest.raises(ValueError):
+        GradedPoly(degree, dict(pairs))
+    data = {"dimension": degree,
+            "numbers": [{"partition": list(key), "value": str(v)} for key, v in pairs]}
+    with pytest.raises(ValueError, match="malformed Chern data file"):
+        chern_data_from_json(data)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_cpn_chern_numbers_rebuild_through_the_public_constructor(n):
+    X = cpn_chern_numbers(n)
+    assert X == GradedPoly(n, dict(X.terms))
+
+
 def test_graded_poly_sums_start_from_int_zero():
     p2 = power_sum(2)
     assert 0 + p2 is p2
@@ -346,11 +368,6 @@ def test_zero_k_n_stays_a_graded_poly():
     assert [K.degree for K in ks] == [0, 1, 2, 3, 4]
     assert ks[0] == GradedPoly(0, {(): 1})
     assert all(isinstance(K, GradedPoly) and not K.terms for K in ks[1:])
-
-
-def test_chern_data_validation():
-    with pytest.raises(ValueError):
-        ChernData(2, {(3,): 1})
 
 
 # -- the dense kernel against a dict-and-sorted reference ----------------------------
@@ -447,11 +464,11 @@ def test_k_polynomials_match_the_dict_reference(spec):
 def test_cached_cpn_chern_numbers_are_read_only():
     X = cpn_chern_numbers(4)
     with pytest.raises(TypeError):
-        X.numbers[(4,)] = 0
+        X.terms[(4,)] = 0
     with pytest.raises(TypeError):
         X.values[0] = 0
     again = cpn_chern_numbers(4)
-    assert again == X and again[(4,)] == 5 and dict(again.numbers) == dict(X.numbers)
+    assert again == X and again[(4,)] == 5 and dict(again.terms) == dict(X.terms)
     assert again.values == tuple(X[lam] for lam in partitions(4))
 
 
@@ -460,8 +477,8 @@ def test_chern_data_from_json_is_read_only():
                                         {"partition": [2], "value": "3"}]}
     X = chern_data_from_json(data)
     with pytest.raises(TypeError):
-        X.numbers[(1, 1)] = 1
+        X.terms[(1, 1)] = 1
     with pytest.raises(TypeError):
-        del X.numbers[(2,)]
+        del X.terms[(2,)]
     assert chern_data_from_json(data) == X == cpn_chern_numbers(2)
     assert X[(1, 1)] == 9

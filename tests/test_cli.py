@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hirzebruch.chern
 from hirzebruch.catalog import construct, h_n, parse_spec
 from hirzebruch.chern import cpn_chern_numbers
 from hirzebruch.cli import build_parser, main
@@ -70,7 +71,7 @@ def test_chern_kn_text_lines_pair_to_h_n(capsys, spec, n):
     assert code == 0
     lines = out.splitlines()
     assert lines
-    numbers = cpn_chern_numbers(n).numbers
+    numbers = cpn_chern_numbers(n).terms
     total = 0
     for line in lines:
         key, sep, value = line.partition(": ")
@@ -124,6 +125,23 @@ def test_chern_data_dimension_is_capped_like_kn(capsys, monkeypatch, tmp_path, d
         return
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "") and "dimension must be at most 24, got 25" in err
+
+
+def test_chern_data_dimension_is_capped_before_any_partition(capsys, monkeypatch, tmp_path):
+    # dimension 100 has 190,569,292 partitions: the cap reads the file's
+    # dimension before the reader enumerates them
+    partitions = hirzebruch.chern.partitions
+
+    def small_partitions(n):
+        if n > 24:
+            raise AssertionError(f"partitions({n}) enumerated before the cap")
+        return partitions(n)
+
+    monkeypatch.setattr("hirzebruch.chern.partitions", small_partitions)
+    path = tmp_path / "data.json"
+    path.write_text(json.dumps({"dimension": 100, "numbers": []}))
+    code, out, err = run(capsys, "chern", "--series", "todd", "--data", str(path))
+    assert (code, out) == (1, "") and "dimension must be at most 24, got 100" in err
 
 
 def test_localize_weights_shorthand(capsys):
@@ -358,6 +376,17 @@ def test_localize_input_work_is_capped(capsys, monkeypatch, tmp_path):
     assert (code, out) == (1, "") and "localize work" in err
 
 
+def test_localize_weights_work_is_capped_before_any_fixed_point(capsys, monkeypatch):
+    # 20,000 weights would build 20,000 * 19,999 tangent weights before the cap
+    def no_fixed_points(*args):
+        raise AssertionError("a refused call built fixed points")
+
+    monkeypatch.setattr("hirzebruch.cli.cpn_fixed_points", no_fixed_points)
+    code, out, err = run(capsys, "localize", "--series", "todd", "--weights",
+                         ",".join(map(str, range(20000))))
+    assert (code, out) == (1, "") and "localize work" in err
+
+
 @pytest.mark.parametrize("trials", [201, 100000])
 def test_rigidity_trials_are_capped(capsys, monkeypatch, trials):
     monkeypatch.setattr("hirzebruch.cli.construct", _reached)
@@ -371,7 +400,8 @@ BIG = str(10 ** 300)  # 997 bits
 @pytest.mark.parametrize("weights, order", [
     (f"0,1,{BIG}", 256),    # took 14.5 s, against 0.23 s for 0,1,2
     ("0,1,32768", 498),     # 16 bits count twice: 2 * 3*2*500^2
-], ids=["301-digit-weight", "16-bit-weight"])
+    (f"0,1,-{BIG}", 256),   # the largest |w_j - w_i| is max(w) - min(w), not max(w)
+], ids=["301-digit-weight", "16-bit-weight", "301-digit-negative-weight"])
 def test_localize_work_counts_the_weight_size(capsys, monkeypatch, weights, order):
     monkeypatch.setattr("hirzebruch.cli.construct", _reached)
     code, out, err = run(capsys, "localize", "--series", "todd", "--weights", weights,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n, parse_spec
-from hirzebruch.chern import ChernData, cpn_chern_numbers, evaluate_genus, k_polynomials, partitions
+from hirzebruch.chern import GradedPoly, cpn_chern_numbers, evaluate_genus, k_polynomials, partitions
 from hirzebruch.gaussian import GR_I, GaussianRational
 from hirzebruch.localization import (
     FixedPoint,
@@ -199,7 +199,7 @@ def fixed_point_chern_numbers(fps):
     for lam in partitions(fps.n):
         numbers[lam] = sum(Fraction(p.sign * math.prod(e(p.weights, j) for j in lam),
                                     math.prod(p.weights)) for p in fps.points)
-    return ChernData(fps.n, numbers)
+    return GradedPoly(fps.n, numbers)
 
 
 def product_fixed_points(a, b):
@@ -238,7 +238,7 @@ def test_chern_numbers_from_fixed_points_match_localization(fps, seed):
 
 
 @pytest.mark.parametrize("fps, expected", [
-    (cpn_fixed_points([0, 1, 2, 5]), cpn_chern_numbers(3).numbers),
+    (cpn_fixed_points([0, 1, 2, 5]), cpn_chern_numbers(3).terms),
     (product_fixed_points(cpn_fixed_points([0, 2]), cpn_fixed_points([0, 1, 3])),
      {(3,): 6, (2, 1): 24, (1, 1, 1): 54}),
     (flag3_fixed_points((0, 1, 3)), {(3,): 6, (2, 1): 24, (1, 1, 1): 48}),
@@ -247,7 +247,7 @@ def test_chern_numbers_from_fixed_points_match_localization(fps, seed):
 ], ids=["CP3", "CP1xCP2", "Fl3", "F1", "F3"])
 def test_named_manifolds_chern_numbers_todd_and_euler(fps, expected):
     X = fixed_point_chern_numbers(fps)
-    assert X == ChernData(fps.n, expected)
+    assert X == GradedPoly(fps.n, expected)
     n = fps.n
     for spec, value in (("todd", 1), ("euler:a=1", len(fps.points))):
         H = construct(parse_spec(spec), n)

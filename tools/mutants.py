@@ -1,15 +1,17 @@
-"""Mutation probe: apply one-line mutants to a copy of the repo, run tier-1.
+"""Mutation probe: apply one-line mutants to a copy of the repo, run their tests.
 
-    python tools/mutants.py            # every mutant, about one tier-1 run each
+    python tools/mutants.py            # every mutant
     python tools/mutants.py classify-skips-last   # only the named ones
 
 Each entry is (name, file, old text, new text, test expected to kill it).
 The old text must occur exactly once in the file, so a stale entry fails
-loudly instead of testing nothing. A mutant is killed when tier-1 (`-x`)
-fails on the mutated copy; the first failing test is reported next to the
-expected killer. Hypothesis runs under the `mutants` profile of
-tests/conftest.py, without the explain phase. Not part of tier-1: each
-mutant costs a tier-1 run, so CI runs it as a job of its own.
+loudly instead of testing nothing. On the mutated copy the expected test
+runs first, and the mutant is killed when it fails. If it passes, tier-1
+(`-x`) runs: a mutant that tier-1 kills is reported as killed by another
+test, not by its expected one, and fails the run like a survivor, since
+its entry no longer names the test that guards that line. Hypothesis runs
+under the `mutants` profile of tests/conftest.py, without the explain
+phase. Not part of tier-1: CI runs it as a job of its own.
 """
 import os
 import shutil
@@ -40,10 +42,10 @@ MUTANTS = [
      "raise AttributeError(f\"GradedPoly is immutable: cannot set {name}\")",
      "object.__setattr__(self, name, value)",
      "test_chern.py::test_cached_power_sum_is_read_only"),
-    ("chern-data-numbers-mutable", S + "chern.py",
-     "object.__setattr__(self, \"numbers\", _nonzero(self.dimension, values))",
-     "object.__setattr__(self, \"numbers\", dict(_nonzero(self.dimension, values)))",
-     "test_chern.py::test_cached_cpn_chern_numbers_are_read_only"),
+    ("chern-data-numbers-mutable", S + "chern.py", "return MappingProxyType({lam: v for",
+     "return ({lam: v for", "test_chern.py::test_cached_cpn_chern_numbers_are_read_only"),
+    ("aligned-merges-repeats", S + "chern.py", "if lam in seen:", "if False:",
+     "test_chern.py::test_one_validator_refuses_malformed_input_by_both_routes[given-twice]"),
     ("classify-skips-last", S + "rigidity.py", "for k in range(H.order + 1):",
      "for k in range(H.order):", "test_rigidity.py::test_classify_reads_the_last_known_coefficient"),
     ("oriented-skips-last-odd", S + "rigidity.py", "for k in range(1, H.order + 1, 2):",
@@ -114,7 +116,25 @@ MUTANTS = [
      "", "test_cli.py::test_localize_work_counts_the_weight_size[301-digit-weight]"),
     ("sweep-work-largest-shape-only", S + "cli.py", "_cap_work(sum(", "_cap_work(max(",
      "test_cli.py::test_rigidity_sweep_work_is_capped_before_any_work[max-n-2-order-79]"),
+    ("cpn-work-ignores-min", S + "cli.py", "max(weights) - min(weights)", "max(weights)",
+     "test_cli.py::test_localize_work_counts_the_weight_size[301-digit-negative-weight]"),
+    ("weights-capped-after-fixed-points", S + "cli.py",
+     "_cap_work(_cpn_work(weights, args.order))\n        fps = cpn_fixed_points(weights)",
+     "fps = cpn_fixed_points(weights)\n        _cap_work(_cpn_work(weights, args.order))",
+     "test_cli.py::test_localize_weights_work_is_capped_before_any_fixed_point"),
+    ("chern-data-capped-after-reader", S + "cli.py",
+     "    if type(dimension) is int and dimension > CAPS[\"kn\"]:",
+     "    chern_data_from_json(data)\n    if type(dimension) is int and dimension > CAPS[\"kn\"]:",
+     "test_cli.py::test_chern_data_dimension_is_capped_before_any_partition"),
 ]
+
+
+def pytest(tmp, *args):
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--hypothesis-profile=mutants", *args],
+        cwd=tmp, env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
+        capture_output=True, text=True)
 
 
 def run(name, path, old, new, killer):
@@ -127,15 +147,18 @@ def run(name, path, old, new, killer):
         if text.count(old) != 1:
             return f"STALE    {name}: old text occurs {text.count(old)} times in {path}"
         target.write_text(text.replace(old, new))
-        proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-             "--hypothesis-profile=mutants", "tests"],
-            cwd=tmp, env={**os.environ, "PYTHONPATH": str(Path(tmp) / "src")},
-            capture_output=True, text=True)
-    first = next((line.split(" ", 1)[1].split(" - ")[0] for line in proc.stdout.splitlines()
+        expected = pytest(tmp, "tests/" + killer).returncode
+        if expected == 1:  # pytest's exit code when a test failed
+            return f"killed   {name}: by its expected test {killer}"
+        if expected != 0:
+            return f"ERROR    {name}: expected test {killer} did not run (pytest exit {expected})"
+        proc = pytest(tmp, "-x", "tests")
+    if not proc.returncode:
+        return f"SURVIVED {name}: expected {killer}"
+    first = next((line.split(" ", 1)[1].split(" - ")[0].removeprefix("tests/")
+                  for line in proc.stdout.splitlines()
                   if line.startswith(("FAILED ", "ERROR "))), "-")
-    verdict = "killed  " if proc.returncode else "SURVIVED"
-    return f"{verdict} {name}: first failure {first}; expected {killer}"
+    return f"MISSED   {name}: killed by {first}, not by its expected test {killer}"
 
 
 def main(names):
