@@ -216,6 +216,8 @@ def _cmd_chern(args) -> int:
 def _cmd_localize(args) -> int:
     if (args.input is None) == (args.weights is None):
         raise UsageError("localize needs exactly one of --input or --weights")
+    if args.order < 0:
+        raise UsageError("--order must be nonnegative")
     if args.weights is not None:
         try:
             weights = [int(w) for w in args.weights.split(",")]
@@ -227,7 +229,7 @@ def _cmd_localize(args) -> int:
         fps = fixed_points_from_json(_read_json(args.input))
         _cap_work(_localize_work(len(fps.points), fps.n, args.order,
                                  max(abs(w) for p in fps.points for w in p.weights)))
-    H = _series(args.series, args.order + fps.n)
+    H = _series(args.series, max(args.order + fps.n, 2))
     s = equivariant_genus(H, fps, args.order)
     if args.json:
         print(json.dumps(series_to_json(s)))

@@ -47,6 +47,7 @@ def _coerce_coeffs(coeffs: Iterable[Coeff]) -> Tuple[GaussianRational, ...]:
 
 
 R = TypeVar("R")
+S = TypeVar("S", bound="_Series")
 
 
 def truncated_product(a: Sequence[GaussianRational],
@@ -93,20 +94,68 @@ def _scaled(coeffs: Sequence[R], w: R, power: R) -> List[R]:
     return out
 
 
-class PowerSeries:
+class _Series:
+    """What both series types share: a series is its known coefficients
+    `coeffs` from degree `valuation` on, and reads, compares and prints
+    as that. Each subclass builds, adds, negates and multiplies itself;
+    the derived operators here go through those."""
+
+    __slots__ = ()
+
+    @property
+    def order(self) -> int:
+        return self.valuation + len(self.coeffs) - 1
+
+    def coefficient(self, k: int) -> GaussianRational:
+        if k < self.valuation:
+            return GR_ZERO
+        if k > self.order:
+            raise InsufficientOrderError(f"coefficient {k} beyond known order {self.order}")
+        return self.coeffs[k - self.valuation]
+
+    def __radd__(self: S, other: Coeff) -> S:
+        return self + other
+
+    def __sub__(self: S, other: Union[S, Coeff]) -> S:
+        return self + (-other)
+
+    def __rsub__(self: S, other: Coeff) -> S:
+        return (-self) + other
+
+    def __rmul__(self: S, other: Coeff) -> S:
+        return self * other
+
+    def __eq__(self, other: object) -> bool:
+        """Equal known ranges with equal coefficients (see the module doc).
+
+        Laurent normalization is canonical, so the (valuation, coeffs) of
+        both Laurent forms decide it.
+        """
+        if not isinstance(other, _Series):
+            try:
+                other = PowerSeries.constant(other, max(self.order, 0))
+            except TypeError:
+                return NotImplemented
+        a, b = self.as_laurent(), other.as_laurent()
+        return a.valuation == b.valuation and a.coeffs == b.coeffs
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __str__(self) -> str:
+        return _format_terms(self.valuation, self.coeffs)
+
+
+class PowerSeries(_Series):
     """A power series known exactly on degrees 0..order."""
 
     __slots__ = ("coeffs",)
+    valuation = 0
 
     def __init__(self, coeffs: Iterable[Coeff]):
         cs = _coerce_coeffs(coeffs)
         if not cs:
             raise ValueError("a power series needs at least the constant term")
         self.coeffs = cs
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     @classmethod
     def constant(cls, value: Coeff, order: int = 0) -> "PowerSeries":
@@ -120,13 +169,6 @@ class PowerSeries:
         coeffs = [GR_ZERO] * (order + 1)
         coeffs[degree] = as_gaussian(value)
         return cls(coeffs)
-
-    def coefficient(self, k: int) -> GaussianRational:
-        if k < 0:
-            return GR_ZERO
-        if k > self.order:
-            raise InsufficientOrderError(f"coefficient {k} beyond known order {self.order}")
-        return self.coeffs[k]
 
     def truncate(self, order: int) -> "PowerSeries":
         if order == self.order:
@@ -148,24 +190,14 @@ class PowerSeries:
         c = as_gaussian(other)
         return PowerSeries((self.coeffs[0] + c,) + self.coeffs[1:])
 
-    __radd__ = __add__
-
     def __neg__(self) -> "PowerSeries":
         return PowerSeries([-c for c in self.coeffs])
-
-    def __sub__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
-        return self + (-other if isinstance(other, PowerSeries) else -as_gaussian(other))
-
-    def __rsub__(self, other: Coeff) -> "PowerSeries":
-        return (-self) + as_gaussian(other)
 
     def __mul__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             return PowerSeries(truncated_product(self.coeffs, other.coeffs))
         c = as_gaussian(other)
         return PowerSeries([c * x for x in self.coeffs])
-
-    __rmul__ = __mul__
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -215,24 +247,11 @@ class PowerSeries:
     def as_laurent(self) -> "LaurentSeries":
         return LaurentSeries(0, self.coeffs)
 
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        """Equal known ranges with equal coefficients (see the module doc)."""
-        if isinstance(other, PowerSeries):
-            return self.coeffs == other.coeffs
-        return self.as_laurent().__eq__(other)
-
-    __hash__ = None  # type: ignore[assignment]
-
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)!r})"
 
-    def __str__(self) -> str:
-        return _format_terms(0, self.coeffs)
 
-
-class LaurentSeries:
+class LaurentSeries(_Series):
     """A Laurent series known exactly on degrees valuation..order.
 
     The constructor is the only place that normalizes: leading zeros are
@@ -252,19 +271,8 @@ class LaurentSeries:
         self.coeffs = cs[lead:]
 
     @property
-    def order(self) -> int:
-        return self.valuation + len(self.coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and not self.coeffs[0]
-
-    def coefficient(self, k: int) -> GaussianRational:
-        if k < self.valuation:
-            return GR_ZERO
-        if k > self.order:
-            raise InsufficientOrderError(f"coefficient {k} beyond known order {self.order}")
-        return self.coeffs[k - self.valuation]
 
     def truncate(self, order: int) -> "LaurentSeries":
         if order == self.order:
@@ -293,18 +301,8 @@ class LaurentSeries:
         return LaurentSeries(val, [self.coefficient(k) + other.coefficient(k)
                                    for k in range(val, order + 1)])
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.valuation, [-c for c in self.coeffs])
-
-    def __sub__(self, other: Union["LaurentSeries", Coeff]) -> "LaurentSeries":
-        if isinstance(other, LaurentSeries):
-            return self + (-other)
-        return self + (-as_gaussian(other))
-
-    def __rsub__(self, other: Coeff) -> "LaurentSeries":
-        return (-self) + as_gaussian(other)
 
     def __mul__(self, other: Union["LaurentSeries", Coeff]) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
@@ -312,8 +310,6 @@ class LaurentSeries:
             return LaurentSeries(self.valuation, [c * x for x in self.coeffs])
         return LaurentSeries(self.valuation + other.valuation,
                              truncated_product(self.coeffs, other.coeffs))
-
-    __rmul__ = __mul__
 
     def derivative(self) -> "LaurentSeries":
         return LaurentSeries(self.valuation - 1,
@@ -326,29 +322,11 @@ class LaurentSeries:
         w = as_gaussian(w)
         return LaurentSeries(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
 
-    # -- comparison ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        """Equal known ranges with equal coefficients (see the module doc).
-
-        Normalization is canonical, so (valuation, coeffs) decides it.
-        """
-        if isinstance(other, PowerSeries):
-            other = other.as_laurent()
-        elif not isinstance(other, LaurentSeries):
-            try:
-                other = PowerSeries.constant(other, max(self.order, 0)).as_laurent()
-            except TypeError:
-                return NotImplemented
-        return self.valuation == other.valuation and self.coeffs == other.coeffs
-
-    __hash__ = None  # type: ignore[assignment]
+    def as_laurent(self) -> "LaurentSeries":
+        return self
 
     def __repr__(self) -> str:
         return f"LaurentSeries({self.valuation}, {list(self.coeffs)!r})"
-
-    def __str__(self) -> str:
-        return _format_terms(self.valuation, self.coeffs)
 
 
 # -- transcendental constructors ------------------------------------------
@@ -396,8 +374,7 @@ def _format_terms(valuation: int, coeffs: Sequence[GaussianRational]) -> str:
 
 
 def series_to_json(f: Union[PowerSeries, LaurentSeries]) -> dict:
-    if isinstance(f, PowerSeries):
-        f = f.as_laurent()
+    f = f.as_laurent()
     return {
         "valuation": f.valuation,
         "order": f.order,

@@ -365,6 +365,23 @@ def test_localize_work_is_capped_before_any_work(capsys, monkeypatch, weights, o
     assert (code, out) == (1, "") and "localize work" in err and "at most 2000000" in err
 
 
+@pytest.mark.parametrize("weights", ["0,1,2,3,4", "0,1,2"])
+def test_localize_refuses_a_negative_order_before_any_work(capsys, monkeypatch, weights):
+    # one refusal for every n, not only where order + n falls below 2
+    monkeypatch.setattr("hirzebruch.cli.construct", _reached)
+    code, out, err = run(capsys, "localize", "--series", "todd", "--weights", weights,
+                         "--order", "-1")
+    assert (code, out) == (1, "") and "--order must be nonnegative" in err
+
+
+def test_localize_order_zero_on_cp1_is_h1(capsys):
+    # H is built to max(order + n, 2), as cpn and chern build it
+    spec = "dab:a=1/2+i,b=1/3"
+    code, out, _ = run(capsys, "localize", "--series", spec, "--weights", "0,1", "--order", "0")
+    assert code == 0
+    assert parse_gaussian(out.strip()) == h_n(construct(parse_spec(spec), 2), 1)
+
+
 def test_localize_input_work_is_capped(capsys, monkeypatch, tmp_path):
     # the same bound on a fixed-point file: 8 points of 7 weights at order 512
     monkeypatch.setattr("hirzebruch.cli.construct", _reached)

@@ -274,6 +274,40 @@ def test_scalar_compares_as_constant_known_to_the_series_order():
     assert LaurentSeries(-2, [1, 0, 3]) != 3
 
 
+def _known(s):
+    return [s.coefficient(k) for k in range(s.order + 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.lists(rationals, min_size=1, max_size=6),
+       power_series(order=4), st.one_of(rationals, complex_coeffs))
+def test_power_series_reads_compares_and_prints_as_its_laurent_form(zeros, tail, q, c):
+    # leading zeros give the Laurent form a positive valuation
+    p = PowerSeries([0] * zeros + tail)
+    L = p.as_laurent()
+    n = p.order
+    assert L.order == n
+    for k in range(-2, n + 1):
+        assert p.coefficient(k) == L.coefficient(k) == (p.coeffs[k] if k >= 0 else 0)
+    for s in (p, L):
+        with pytest.raises(InsufficientOrderError):
+            s.coefficient(n + 1)
+    assert str(p) == str(L)
+    constant_head = not any(p.coeffs[1:])
+    for x in (p, L):
+        assert x == p and x == L and p == x and L == x
+        if n:
+            assert x != p.truncate(n - 1) and x != L.truncate(n - 1)
+        assert (x == c) is (list(p.coeffs) == [c] + [0] * n) is (c == x)
+        assert (x == p.coeffs[0]) is constant_head
+    m = min(n, q.order)
+    for x, qx in ((p, q), (L, q.as_laurent())):
+        assert _known(x - qx) == [p.coeffs[k] - q.coeffs[k] for k in range(m + 1)]
+        assert _known(c - x) == [c - p.coeffs[0]] + [-a for a in p.coeffs[1:]]
+        assert _known(c + x) == [c + p.coeffs[0], *p.coeffs[1:]]
+        assert _known(c * x) == [c * a for a in p.coeffs]
+
+
 # -- algebraic laws ------------------------------------------------------------------
 
 @settings(max_examples=30, deadline=None)

@@ -64,6 +64,11 @@ MUTANTS = [
     ("inverse-stops-at-40", S + "series.py", "dot(a[1:k + 1], out[::-1])",
      "dot(a[1:min(k, 40) + 1], out[::-1])",
      "test_catalog.py::test_coefficients_match_bernoulli_oracle"),
+    ("reader-ignores-valuation", S + "series.py", "self.coeffs[k - self.valuation]",
+     "self.coeffs[k]",
+     "test_series.py::test_power_series_reads_compares_and_prints_as_its_laurent_form"),
+    ("rsub-keeps-sign", S + "series.py", "(-self) + other", "self + other",
+     "test_series.py::test_power_series_reads_compares_and_prints_as_its_laurent_form"),
     ("dot-skips-rescale", S + "gaussian.py",
      "A = A * t + (a * c - b * e) * s\n                B = B * t + (a * e + b * c) * s",
      "A = A * t + (a * c - b * e)\n                B = B * t + (a * e + b * c)",
