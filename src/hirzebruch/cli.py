@@ -44,10 +44,7 @@ CAPS = {"order": 512, "n": 512, "kn": 24, "trials": 200}
 # largest localization work, of one `localize` run or summed over the shapes
 # of a `rigidity` sweep: see _localize_work
 LOCALIZE_WORK = 2_000_000
-
-
-class UsageError(Exception):
-    pass
+_WORK = "localize work points*n*(order+n)^2*(1 + bits//16)"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +52,7 @@ class _Parser(argparse.ArgumentParser):
     # failed mathematical checks, so remap usage errors to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(f"{self.prog}: error: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @lru_cache(maxsize=None)
@@ -63,49 +60,48 @@ def build_parser() -> argparse.ArgumentParser:
     """The `genus` parser, built on first use and shared by later calls."""
     parser = _Parser(prog="genus", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
+    sub.add_parser("catalog", help="list series families and parameters")
 
-    p = sub.add_parser("catalog", help="list series families and parameters")
+    def verb(name, help, order=None, json=True):
+        """A verb that reads --series, with --order if given its default."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--series", required=True)
+        if order is not None:
+            p.add_argument("--order", type=int, default=order)
+        if json:
+            p.add_argument("--json", action="store_true")
+        return p
 
-    p = sub.add_parser("expand", help="print the coefficients of a series")
-    p.add_argument("--series", required=True)
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("cpn", help="genus of complex projective n-space")
-    p.add_argument("--series", required=True)
+    verb("expand", "print the coefficients of a series", DEFAULT_ORDER)
+    p = verb("cpn", "genus of complex projective n-space", json=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--closed-form", action="store_true",
                    help="cross-check against the closed form (exit 2 on mismatch)")
 
-    p = sub.add_parser("chern", help="evaluate a genus on Chern numbers, or dump K_n")
-    p.add_argument("--series", required=True)
+    p = verb("chern", "evaluate a genus on Chern numbers, or dump K_n")
     p.add_argument("--data", help="Chern-number JSON file")
     p.add_argument("--kn", type=int, help="dump the degree-n sequence polynomial")
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("localize", help="equivariant genus of fixed-point data")
-    p.add_argument("--series", required=True)
+    p = verb("localize", "equivariant genus of fixed-point data", DEFAULT_ORDER)
     p.add_argument("--input", help="fixed-point JSON file")
     p.add_argument("--weights", help="comma-separated CP^n weights, e.g. 0,1,3")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("rigidity", help="algebraic rigidity sampling check")
-    p.add_argument("--series", required=True)
+    p = verb("rigidity", "algebraic rigidity sampling check", 12)
     p.add_argument("--max-n", type=int, default=2)
-    p.add_argument("--order", type=int, default=12)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("classify", help="generalized-Todd classification")
-    p.add_argument("--series", required=True)
+    p = verb("classify", "generalized-Todd classification", DEFAULT_ORDER)
     p.add_argument("--oriented", action="store_true")
     p.add_argument("--expect-gt", action="store_true")
-    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
-    p.add_argument("--json", action="store_true")
-
     return parser
+
+
+def _admit(name: str, value: int, cap: int) -> None:
+    """The one size refusal, made before any work: `value` lies in 0..cap."""
+    if not 0 <= value <= cap:
+        raise ValueError(f"{name} must be nonnegative, got {value}" if value < 0
+                         else f"{name} must be at most {cap}, got {value}")
 
 
 def _read_json(path: str):
@@ -115,15 +111,15 @@ def _read_json(path: str):
 
 
 def _series(text: str, order: int) -> CharacteristicSeries:
-    """`--series` to `order`: a catalog spec, or file:PATH, a JSON series
-    file that keeps at most `order` of its stored degrees."""
+    """`--series` to max(order, 2), the least order a series is built to: a
+    catalog spec, or file:PATH, a JSON series file that keeps at most that
+    many of its stored degrees."""
+    order = max(order, 2)
     family, _, path = text.partition(":")
     if family != "file":
         return construct(parse_spec(text), order)
     if not path:
         raise ValueError("file spec needs a path, e.g. file:series.json")
-    if order < 2:
-        raise ValueError("construction order must be at least 2")
     series = series_from_json(_read_json(path)).power_part()
     return CharacteristicSeries(series.truncate(min(order, series.order)))
 
@@ -133,7 +129,7 @@ def _localize_work(points: int, n: int, order: int, weight: int) -> int:
     largest |weight| has b bits: the growth of the localization sum's integer
     products, whose coefficients gain about order * b bits once b outgrows
     the heights of H's own coefficients."""
-    return points * n * (max(order, 0) + n) ** 2 * (1 + weight.bit_length() // 16)
+    return points * n * (order + n) ** 2 * (1 + weight.bit_length() // 16)
 
 
 def _cpn_work(weights: Sequence[int], order: int) -> int:
@@ -141,12 +137,6 @@ def _cpn_work(weights: Sequence[int], order: int) -> int:
     weights alone: k points of k - 1 tangent weights w_j - w_i each, the
     largest |w_j - w_i| being max(w) - min(w)."""
     return _localize_work(len(weights), len(weights) - 1, order, max(weights) - min(weights))
-
-
-def _cap_work(work: int) -> None:
-    if work > LOCALIZE_WORK:
-        raise UsageError(f"localize work points*n*(order+n)^2*(1 + bits//16) must be at "
-                         f"most {LOCALIZE_WORK}, got {work}")
 
 
 def _cmd_catalog(args) -> int:
@@ -159,19 +149,18 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_expand(args) -> int:
     H = _series(args.series, args.order)
+    series = H.series.truncate(min(args.order, H.order))
     if args.json:
-        print(json.dumps(series_to_json(H.series)))
+        print(json.dumps(series_to_json(series)))
     else:
-        print(", ".join(format_gaussian(c) for c in H.series.coeffs))
+        print(", ".join(format_gaussian(c) for c in series.coeffs))
     return EXIT_OK
 
 
 def _cmd_cpn(args) -> int:
-    if args.n < 0:
-        raise UsageError("--n must be nonnegative")
     if args.closed_form and args.series.partition(":")[0] == "file":
-        raise UsageError("--closed-form is not available for file series")
-    H = _series(args.series, max(args.n, 2))
+        raise ValueError("--closed-form is not available for file series")
+    H = _series(args.series, args.n)
     value = h_n(H, args.n)
     print(format_gaussian(value))
     if args.closed_form:
@@ -185,13 +174,11 @@ def _cmd_cpn(args) -> int:
 
 def _cmd_chern(args) -> int:
     if (args.data is None) == (args.kn is None):
-        raise UsageError("chern needs exactly one of --data or --kn")
+        raise ValueError("chern needs exactly one of --data or --kn")
     if args.json and args.data is not None:
-        raise UsageError("chern --json is available with --kn only")
+        raise ValueError("chern --json is available with --kn only")
     if args.kn is not None:
-        if args.kn < 0:
-            raise UsageError("--kn must be nonnegative")
-        H = _series(args.series, max(args.kn, 2))
+        H = _series(args.series, args.kn)
         K = multiplicative_sequence(H, args.kn)
         if args.json:
             print(json.dumps(graded_poly_to_json(K)))
@@ -203,11 +190,10 @@ def _cmd_chern(args) -> int:
         return EXIT_OK
     data = _read_json(args.data)
     dimension = data.get("dimension") if isinstance(data, dict) else None
-    if type(dimension) is int and dimension > CAPS["kn"]:
-        raise UsageError(f"chern --data dimension must be at most {CAPS['kn']}, "
-                         f"got {dimension}")
+    if type(dimension) is int and dimension > 0:  # the reader refuses the rest
+        _admit("chern --data dimension", dimension, CAPS["kn"])
     X = chern_data_from_json(data)
-    H = _series(args.series, max(X.degree, 2))
+    H = _series(args.series, X.degree)
     K = multiplicative_sequence(H, X.degree)
     print(format_gaussian(evaluate_genus(K, X)))
     return EXIT_OK
@@ -215,21 +201,19 @@ def _cmd_chern(args) -> int:
 
 def _cmd_localize(args) -> int:
     if (args.input is None) == (args.weights is None):
-        raise UsageError("localize needs exactly one of --input or --weights")
-    if args.order < 0:
-        raise UsageError("--order must be nonnegative")
+        raise ValueError("localize needs exactly one of --input or --weights")
     if args.weights is not None:
         try:
             weights = [int(w) for w in args.weights.split(",")]
         except ValueError:
-            raise UsageError(f"--weights must be comma-separated integers, got {args.weights!r}")
-        _cap_work(_cpn_work(weights, args.order))
+            raise ValueError(f"--weights must be comma-separated integers, got {args.weights!r}")
+        _admit(_WORK, _cpn_work(weights, args.order), LOCALIZE_WORK)
         fps = cpn_fixed_points(weights)
     else:
         fps = fixed_points_from_json(_read_json(args.input))
-        _cap_work(_localize_work(len(fps.points), fps.n, args.order,
-                                 max(abs(w) for p in fps.points for w in p.weights)))
-    H = _series(args.series, max(args.order + fps.n, 2))
+        weight = max(abs(w) for p in fps.points for w in p.weights)
+        _admit(_WORK, _localize_work(len(fps.points), fps.n, args.order, weight), LOCALIZE_WORK)
+    H = _series(args.series, args.order + fps.n)
     s = equivariant_genus(H, fps, args.order)
     if args.json:
         print(json.dumps(series_to_json(s)))
@@ -240,7 +224,7 @@ def _cmd_localize(args) -> int:
 
 def _cmd_rigidity(args) -> int:
     shapes = sweep_shapes(args.max_n, args.order, args.trials, args.seed)
-    _cap_work(sum(_cpn_work(s, args.order) for s in shapes))
+    _admit(_WORK, sum(_cpn_work(s, args.order) for s in shapes), LOCALIZE_WORK)
     H = _series(args.series, args.order + args.max_n)
     report = ar_check(H, args.max_n, args.order, args.trials, args.seed)
     if args.json:
@@ -297,16 +281,12 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        for name, cap in CAPS.items():
-            if (getattr(args, name, None) or 0) > cap:
-                raise UsageError(f"--{name} must be at most {cap}, got {getattr(args, name)}")
+        args = build_parser().parse_args(argv)
+        for name, value in vars(args).items():
+            if name in CAPS and value is not None:  # chern --kn is None with --data
+                _admit(f"--{name}", value, CAPS[name])
         return _COMMANDS[args.verb](args)
-    except UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,35 @@ def test_expand_file_honours_order(capsys, tmp_path):
     code, out4, _ = run(capsys, "expand", "--series", f"file:{path}", "--order", "4")
     assert code == 0
     assert out4.strip() == "1, 1/2, 1/3, 0, -1/45"
+
+
+def test_classify_file_honours_order(capsys, tmp_path):
+    # classify reads every degree H is known to: a file keeps only those asked for
+    data = json.loads(run(capsys, "expand", "--series", "todd", "--order", "8", "--json")[1])
+    data["coeffs"][8] = {"re": "1", "im": "0"}
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "classify", "--series", f"file:{path}", "--order", "7")
+    assert code == 0 and out.startswith("GT series, case D")
+    code, out, _ = run(capsys, "classify", "--series", f"file:{path}")
+    assert code == 0 and "first mismatch at degree 8" in out
+
+
+@pytest.mark.parametrize("order, text", [(0, "1"), (1, "1, 1/2")], ids=["order-0", "order-1"])
+@pytest.mark.parametrize("source", ["spec", "file"])
+def test_expand_below_order_two_prints_the_degrees_asked(capsys, tmp_path, source, order, text):
+    # H is built to order 2 at least, and expand prints degrees 0..order of it
+    series = "todd"
+    if source == "file":
+        path = tmp_path / "todd.json"
+        path.write_text(run(capsys, "expand", "--series", "todd", "--json")[1])
+        series = f"file:{path}"
+    argv = ("expand", "--series", series, "--order", str(order))
+    assert run(capsys, *argv) == (0, text + "\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"valuation": 0, "order": order,
+                               "coeffs": [{"re": c, "im": "0"} for c in text.split(", ")]}
 
 
 def test_cpn_closed_form(capsys):
@@ -285,13 +318,11 @@ def test_determinism(capsys):
 
 
 def test_file_series_keeps_its_usage_errors(capsys, tmp_path):
-    # the `--series file:PATH` loader: an empty path, an order below 2 (refused
-    # before the file is read) and --closed-form (refused before any work)
+    # the `--series file:PATH` loader: an empty path, and --closed-form
+    # (refused before any work)
     missing = f"file:{tmp_path / 'missing.json'}"
     code, out, err = run(capsys, "expand", "--series", "file:")
     assert (code, out) == (1, "") and "needs a path" in err
-    code, out, err = run(capsys, "expand", "--series", missing, "--order", "1")
-    assert (code, out) == (1, "") and "order must be at least 2" in err
     code, out, err = run(capsys, "cpn", "--series", missing, "--n", "3", "--closed-form")
     assert (code, out) == (1, "") and "--closed-form is not available" in err
 
@@ -335,7 +366,8 @@ def test_fixed_point_weights_and_signs_must_be_ints(capsys, tmp_path, point):
     {"dimension": 2, "numbers": [{"partition": [True, True], "value": "4"}]},
     {"dimension": 2.0, "numbers": [{"partition": [2], "value": "4"}]},
     {"dimension": 2, "numbers": [{"partition": [2], "value": 0.5}]},
-], ids=["float-part", "bool-part", "float-dimension", "float-value"])
+    {"dimension": -1, "numbers": []},
+], ids=["float-part", "bool-part", "float-dimension", "float-value", "negative-dimension"])
 def test_chern_data_values_must_be_exact(capsys, tmp_path, data):
     path = tmp_path / "data.json"
     path.write_text(json.dumps(data))
@@ -464,3 +496,54 @@ def test_sizes_at_the_new_caps_reach_construct(monkeypatch, argv):
     monkeypatch.setattr("hirzebruch.cli.construct", _reached)
     with pytest.raises(Reached):
         main(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand"],
+    ["frobnicate"],
+    ["expand", "--series", "todd", "--order", "x"],
+    ["expand", "--series", "todd", "--order", "513"],
+    ["cpn", "--series", "todd", "--n", "513"],
+    ["chern", "--series", "todd", "--kn", "25"],
+    ["rigidity", "--series", "todd", "--trials", "201"],
+    ["chern", "--series", "todd", "--data", "{big}"],
+    ["cpn", "--series", "todd", "--n", "-1"],
+    ["chern", "--series", "todd", "--kn", "-1"],
+    ["localize", "--series", "todd", "--weights", "0,1", "--order", "-1"],
+    ["localize", "--series", "todd", "--weights", "0,1,2,3,4,5,6,7", "--order", "512"],
+    ["chern", "--series", "todd", "--data", "{small}", "--json"],
+    ["cpn", "--series", "file:{series}", "--n", "3", "--closed-form"],
+    ["expand", "--series", "file:{missing}"],
+    ["expand", "--series", "dab:a=1"],
+    ["rigidity", "--series", "todd", "--max-n", "7"],
+    ["classify", "--series", "todd", "--order", "3"],
+    ["classify", "--series", "todd", "--order", "1"],
+], ids=["missing-series", "unknown-verb", "order-not-an-int", "order-cap", "n-cap", "kn-cap",
+        "trials-cap", "data-dimension-cap", "negative-n", "negative-kn", "negative-order",
+        "localize-work", "chern-data-json", "closed-form-file", "missing-file",
+        "malformed-spec", "max-n-7", "classify-order-3", "classify-order-1"])
+def test_every_refusal_ends_stderr_with_one_error_line(capsys, tmp_path, argv):
+    # exit 1 leaves stdout empty; argparse's usage line may come before the error
+    files = {"big": {"dimension": 25, "numbers": []}, "small": {"dimension": 2, "numbers": []},
+             "series": {"valuation": 0, "order": 2, "coeffs": [ONE, ONE, ONE]}}
+    paths = {"missing": tmp_path / "missing.json"}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: ")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["expand", "--series", "todd", "--order", "4"], 0),
+    (["cpn", "--series", "todd", "--n", "-1"], 1),
+    (["classify", "--series", "todd", "--oriented", "--expect-gt"], 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_python_m_hirzebruch_exits_with_the_contract_codes(argv, code):
+    proc = subprocess.run([sys.executable, "-m", "hirzebruch", *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == code, proc.stderr

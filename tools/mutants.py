@@ -105,7 +105,7 @@ MUTANTS = [
      "if not c:\n            raise ZeroDivisionError",
      "test_catalog.py::test_closed_form_examples"),
     ("file-series-ignores-order", S + "cli.py", "series.truncate(min(order, series.order))",
-     "series.truncate(series.order)", "test_cli.py::test_expand_file_honours_order"),
+     "series.truncate(series.order)", "test_cli.py::test_classify_file_honours_order"),
     ("series-file-accepts-floats", S + "series.py",
      "if type(re) not in (int, str) or type(im) not in (int, str):", "if False:",
      "test_cli.py::test_series_file_values_must_be_exact[float-re]"),
@@ -114,23 +114,31 @@ MUTANTS = [
      "test_cli.py::test_fixed_point_weights_and_signs_must_be_ints[float-weight]"),
     ("spec-keeps-last-repeat", S + "catalog.py", "if name in params:", "if False:",
      "test_catalog.py::test_parse_spec_rejects[dab:a=1,a=2,b=0]"),
-    ("localize-work-linear-in-order", S + "cli.py", "(max(order, 0) + n) ** 2",
-     "(max(order, 0) + n)",
+    ("localize-work-linear-in-order", S + "cli.py", "(order + n) ** 2", "(order + n)",
      "test_cli.py::test_localize_work_is_capped_before_any_work[8-weights-order-512]"),
     ("localize-work-ignores-weight-size", S + "cli.py", " * (1 + weight.bit_length() // 16)",
      "", "test_cli.py::test_localize_work_counts_the_weight_size[301-digit-weight]"),
-    ("sweep-work-largest-shape-only", S + "cli.py", "_cap_work(sum(", "_cap_work(max(",
+    ("sweep-work-largest-shape-only", S + "cli.py", "_admit(_WORK, sum(", "_admit(_WORK, max(",
      "test_cli.py::test_rigidity_sweep_work_is_capped_before_any_work[max-n-2-order-79]"),
     ("cpn-work-ignores-min", S + "cli.py", "max(weights) - min(weights)", "max(weights)",
      "test_cli.py::test_localize_work_counts_the_weight_size[301-digit-negative-weight]"),
     ("weights-capped-after-fixed-points", S + "cli.py",
-     "_cap_work(_cpn_work(weights, args.order))\n        fps = cpn_fixed_points(weights)",
-     "fps = cpn_fixed_points(weights)\n        _cap_work(_cpn_work(weights, args.order))",
+     "_admit(_WORK, _cpn_work(weights, args.order), LOCALIZE_WORK)\n"
+     "        fps = cpn_fixed_points(weights)",
+     "fps = cpn_fixed_points(weights)\n"
+     "        _admit(_WORK, _cpn_work(weights, args.order), LOCALIZE_WORK)",
      "test_cli.py::test_localize_weights_work_is_capped_before_any_fixed_point"),
     ("chern-data-capped-after-reader", S + "cli.py",
-     "    if type(dimension) is int and dimension > CAPS[\"kn\"]:",
-     "    chern_data_from_json(data)\n    if type(dimension) is int and dimension > CAPS[\"kn\"]:",
+     "    if type(dimension) is int and dimension > 0:",
+     "    chern_data_from_json(data)\n    if type(dimension) is int and dimension > 0:",
      "test_cli.py::test_chern_data_dimension_is_capped_before_any_partition"),
+    ("admit-allows-negative", S + "cli.py", "if not 0 <= value <= cap:",
+     "if not value <= cap:",
+     "test_cli.py::test_localize_refuses_a_negative_order_before_any_work"),
+    ("admit-refuses-the-cap", S + "cli.py", "<= cap:", "< cap:",
+     "test_cli.py::test_sizes_at_the_new_caps_reach_construct[200-trials]"),
+    ("series-skips-min-order", S + "cli.py", "    order = max(order, 2)\n", "",
+     "test_cli.py::test_expand_below_order_two_prints_the_degrees_asked[spec-order-1]"),
 ]
 
 
