@@ -1,8 +1,14 @@
 """Catalog of characteristic series and their projective-space values.
 
 Every parametric family is H_{x,y}(t) = t*(x*e^{st} + y)/(e^{st} - 1) with
-s = x + y, whose value on CP^n is (x^(n+1) - (-y)^(n+1))/(x + y). The one
-table FAMILIES maps each family to its parameter names and its (x, y):
+s = x + y, whose value on CP^n is (x^(n+1) - (-y)^(n+1))/(x + y). In
+Bernoulli form H_{x,y}(t) = x*t + sum_k (B_k/k!) s^k t^k, so every family
+scales one parameter-free table, the Todd coefficients B_k/k! of
+t/(e^t - 1). That table is built by one series inverse and cached as a
+tuple, which only a request for a longer one replaces; with it,
+`construct` costs O(order) Q(i) operations.
+
+The one table FAMILIES maps each family to its parameter names and its (x, y):
 euler (1 + a*t, the removable case x + y = 0), todd (t/(1-exp(-t))), ty and
 txy (the one- and two-parameter Todd deformations), dab (t*(a*coth(a*t)+b))
 and gab (t*(a*cot(a*t)+b)). A series stored in a file is not a family: the
@@ -11,12 +17,13 @@ one through the series module's reader.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
 from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
-from .series import PowerSeries, exp_series, log_series
+from .series import PowerSeries, _power, _scaled, exp_series, log_series
 
 DEFAULT_ORDER = 16
 
@@ -104,22 +111,34 @@ class CharacteristicSeries:
         return self.series.coefficient(k)
 
 
-def _hxy(x: GaussianRational, y: GaussianRational, order: int) -> PowerSeries:
-    """t*(x*e^{st} + y)/(e^{st} - 1) with s = x + y, as 1/phi + x*t.
+# B_0/0!, B_1/1!, ...: t/(e^t - 1) to the longest order asked for so far
+_TODD: Tuple[GaussianRational, ...] = ()
 
-    phi = (e^{st} - 1)/(st) has constant term 1, so the x + y = 0 case is
-    automatically the removable one: phi = 1 and the result is 1 + x*t.
+
+def _todd_table(order: int) -> Tuple[GaussianRational, ...]:
+    """B_k/k! for k = 0..order, the inverse of (e^t - 1)/t = sum t^k/(k+1)!.
+
+    A request past the kept table rebuilds it to exactly `order`, never
+    longer; a shorter one reads a prefix, which the inverse's recurrence
+    makes the same as a table built to that order.
     """
-    s = x + y
-    fact = Fraction(1)
-    coeffs = []
-    power = GR_ONE
-    for k in range(order + 1):
-        fact *= k + 1
-        coeffs.append(power / fact)
-        power = power * s
-    phi = PowerSeries(coeffs)
-    return phi.inverse() + PowerSeries.monomial(1, order, x)
+    global _TODD
+    if len(_TODD) <= order:
+        phi = PowerSeries([Fraction(1, math.factorial(k + 1)) for k in range(order + 1)])
+        _TODD = phi.inverse().coeffs
+    return _TODD[:order + 1]
+
+
+def _hxy(x: GaussianRational, y: GaussianRational, order: int) -> PowerSeries:
+    """t*(x*e^{st} + y)/(e^{st} - 1) with s = x + y, as x*t + sum_k (B_k/k!) s^k t^k.
+
+    Coefficient k is the Todd table's B_k/k! times s^k, plus x at k = 1.
+    The x + y = 0 case is the removable one with no branch: s^k = 0 for
+    k >= 1 and the result is 1 + x*t.
+    """
+    coeffs = _scaled(_todd_table(order), x + y, GR_ONE)
+    coeffs[1] = coeffs[1] + x
+    return _power(coeffs)
 
 
 def _xy(spec: SeriesSpec) -> Tuple[GaussianRational, GaussianRational]:

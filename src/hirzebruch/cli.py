@@ -27,14 +27,14 @@ from .chern import (
     graded_poly_to_json,
     multiplicative_sequence,
 )
-from .gaussian import format_gaussian
+from .gaussian import GR_ONE, format_gaussian
 from .localization import (
     cpn_fixed_points,
     equivariant_genus,
     fixed_points_from_json,
 )
 from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented, sweep_shapes
-from .series import series_from_json, series_to_json
+from .series import PowerSeries, series_from_json, series_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,13 +115,21 @@ def _series(text: str, order: int) -> CharacteristicSeries:
     catalog spec, or file:PATH, a JSON series file that keeps at most that
     many of its stored degrees."""
     order = max(order, 2)
-    family, _, path = text.partition(":")
-    if family != "file":
+    if text.partition(":")[0] != "file":
         return construct(parse_spec(text), order)
+    return CharacteristicSeries(_file_series(text, order))
+
+
+def _file_series(text: str, order: int) -> PowerSeries:
+    """file:PATH to at most `order`, with the constant term 1 of a
+    characteristic series; `_series` adds the least order 2."""
+    path = text.partition(":")[2]
     if not path:
         raise ValueError("file spec needs a path, e.g. file:series.json")
     series = series_from_json(_read_json(path)).power_part()
-    return CharacteristicSeries(series.truncate(min(order, series.order)))
+    if series.coeffs[0] != GR_ONE:
+        raise ValueError("a characteristic series must have constant term 1")
+    return series.truncate(min(order, series.order))
 
 
 def _localize_work(points: int, n: int, order: int, weight: int) -> int:
@@ -148,8 +156,11 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    H = _series(args.series, args.order)
-    series = H.series.truncate(min(args.order, H.order))
+    # expand prints the degrees asked for, so a file known below order 2 will do
+    if args.series.partition(":")[0] == "file":
+        series = _file_series(args.series, args.order)
+    else:
+        series = _series(args.series, args.order).series.truncate(args.order)
     if args.json:
         print(json.dumps(series_to_json(series)))
     else:
@@ -287,6 +298,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             if name in CAPS and value is not None:  # chern --kn is None with --data
                 _admit(f"--{name}", value, CAPS[name])
         return _COMMANDS[args.verb](args)
+    except SystemExit as exc:  # -h/--help; argparse's usage errors raise ValueError (_Parser)
+        return exc.code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
 from .gaussian import GR_ZERO, GaussianRational, as_gaussian, from_parts, real_parts
-from .series import LaurentSeries, _scaled
+from .series import LaurentSeries, _laurent, _scaled
 
 
 @dataclass(frozen=True)
@@ -105,14 +105,14 @@ def equivariant_genus(H: CharacteristicSeries, fps: FixedPointSet,
 
 
 def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
-    f = LaurentSeries(-1, coeffs)
-    total = LaurentSeries(-fps.n, [GR_ZERO] * len(coeffs))
+    f = _laurent(-1, coeffs)
+    total = _laurent(-fps.n, [GR_ZERO] * len(coeffs))
     for p in fps.points:
         prod = None
         for w in p.weights:
             factor = f.scale_argument(w)
             prod = factor if prod is None else prod * factor
-        total = total + p.sign * prod
+        total = total + prod if p.sign > 0 else total - prod
     return total
 
 
@@ -157,7 +157,7 @@ def _localize_rational(coeffs: Sequence[GaussianRational],
             if conv[k]:
                 totals[k] += conv[k] * scale
     den_total = den ** n * shared
-    return LaurentSeries(-n, [from_parts(q, 0, den_total) for q in totals])
+    return _laurent(-n, [from_parts(q, 0, den_total) for q in totals])
 
 
 # -- JSON files ----------------------------------------------------------------

@@ -4,10 +4,14 @@ Every series carries the exact coefficient range it is known on.
 Arithmetic propagates the jointly-known range pessimistically and never
 fabricates tail coefficients.
 
-A Laurent series has one normal form, set by its constructor alone: the
+A Laurent series has one normal form, set by `_normal_form` alone: the
 first known coefficient is nonzero, or the series is one zero at its
 order. `coefficient(k)` is the one reader by degree: zero below the
 valuation, `InsufficientOrderError` past the order.
+
+The public constructors coerce every coefficient to Q(i). Kernel results
+are Q(i) already and go through the trusted builders `_power` and
+`_laurent`, which skip that pass; `_laurent` still normalizes.
 
 Two series are equal when they are known on the same range and agree on
 all of it, so a truncated operand never compares equal to a longer one.
@@ -46,6 +50,29 @@ def _coerce_coeffs(coeffs: Iterable[Coeff]) -> Tuple[GaussianRational, ...]:
     return tuple(as_gaussian(c) for c in coeffs)
 
 
+def _power(cs: Iterable[GaussianRational]) -> "PowerSeries":
+    """The trusted builder of kernel results: a power series on nonempty
+    coefficients that are already Q(i), taken without a coercion pass."""
+    out = object.__new__(PowerSeries)
+    out.coeffs = tuple(cs)
+    return out
+
+
+def _normal_form(valuation: int, cs: Tuple[GaussianRational, ...]
+                 ) -> Tuple[int, Tuple[GaussianRational, ...]]:
+    """(valuation, coeffs) of the Laurent normal form: leading zeros dropped,
+    an all-zero range kept as one zero at its order."""
+    lead = next((i for i, c in enumerate(cs) if c), len(cs) - 1)
+    return valuation + lead, cs[lead:]
+
+
+def _laurent(valuation: int, cs: Iterable[GaussianRational]) -> "LaurentSeries":
+    """The trusted Laurent builder, as `_power`: normalized, not coerced."""
+    out = object.__new__(LaurentSeries)
+    out.valuation, out.coeffs = _normal_form(valuation, tuple(cs))
+    return out
+
+
 R = TypeVar("R")
 S = TypeVar("S", bound="_Series")
 
@@ -73,7 +100,8 @@ def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
 
 
 def log_coefficients(g: Sequence[R]) -> List[R]:
-    """q = log g to degree len(g) - 1; g[0] is taken as 1 and not read, q_0 is the int 0.
+    """q = log g to degree len(g) - 1; g[0] is taken as 1 and not read, q_0 is the
+    int 0 (log_series puts the Q(i) zero there).
 
     k*q_k = k*g_k - sum_{j=1..k-1} (j*q_j)*g_{k-j}, from t*g' = (t*q')*g,
     keeping the j*q_j. Each sum is one inner product of the coefficient
@@ -177,27 +205,25 @@ class PowerSeries(_Series):
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < 0:
             raise ValueError("power series order must be nonnegative")
-        out = object.__new__(PowerSeries)  # the slice is already Q(i): no coercion pass
-        out.coeffs = self.coeffs[: order + 1]
-        return out
+        return _power(self.coeffs[: order + 1])
 
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            return PowerSeries([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
+            return _power([self.coeffs[k] + other.coeffs[k] for k in range(n + 1)])
         c = as_gaussian(other)
-        return PowerSeries((self.coeffs[0] + c,) + self.coeffs[1:])
+        return _power((self.coeffs[0] + c,) + self.coeffs[1:])
 
     def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-c for c in self.coeffs])
+        return _power([-c for c in self.coeffs])
 
     def __mul__(self, other: Union["PowerSeries", Coeff]) -> "PowerSeries":
         if isinstance(other, PowerSeries):
-            return PowerSeries(truncated_product(self.coeffs, other.coeffs))
+            return _power(truncated_product(self.coeffs, other.coeffs))
         c = as_gaussian(other)
-        return PowerSeries([c * x for x in self.coeffs])
+        return _power([c * x for x in self.coeffs])
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -208,7 +234,7 @@ class PowerSeries(_Series):
         out = [inv0]
         for k in range(1, self.order + 1):
             out.append(-inv0 * dot(a[1:k + 1], out[::-1]))
-        return PowerSeries(out)
+        return _power(out)
 
     # -- composition family --------------------------------------------------
 
@@ -239,13 +265,13 @@ class PowerSeries(_Series):
         for k in range(2, n + 1):
             acc = dot(g[1:k], [powers[j].coeffs[k] for j in range(1, k)])
             g.append(-acc / powers[k].coeffs[k])
-        return PowerSeries(g)
+        return _power(g)
 
     def scale_argument(self, w: Coeff) -> "PowerSeries":
-        return PowerSeries(_scaled(self.coeffs, as_gaussian(w), GR_ONE))
+        return _power(_scaled(self.coeffs, as_gaussian(w), GR_ONE))
 
     def as_laurent(self) -> "LaurentSeries":
-        return LaurentSeries(0, self.coeffs)
+        return _laurent(0, self.coeffs)
 
     def __repr__(self) -> str:
         return f"PowerSeries({list(self.coeffs)!r})"
@@ -254,10 +280,11 @@ class PowerSeries(_Series):
 class LaurentSeries(_Series):
     """A Laurent series known exactly on degrees valuation..order.
 
-    The constructor is the only place that normalizes: leading zeros are
-    dropped, so coeffs[0] is nonzero, and a series that is zero on its
-    whole known range collapses to a single zero at its order, keeping
-    the knowledge horizon. Read by degree through `coefficient` only.
+    The constructor and `_laurent` normalize, through `_normal_form`:
+    leading zeros are dropped, so coeffs[0] is nonzero, and a series that
+    is zero on its whole known range collapses to a single zero at its
+    order, keeping the knowledge horizon. Read by degree through
+    `coefficient` only.
     """
 
     __slots__ = ("valuation", "coeffs")
@@ -266,9 +293,7 @@ class LaurentSeries(_Series):
         cs = _coerce_coeffs(coeffs)
         if not cs:
             raise ValueError("a Laurent series needs at least one known coefficient")
-        lead = next((i for i, c in enumerate(cs) if c), len(cs) - 1)
-        self.valuation = valuation + lead
-        self.coeffs = cs[lead:]
+        self.valuation, self.coeffs = _normal_form(valuation, cs)
 
     @property
     def is_zero(self) -> bool:
@@ -280,8 +305,8 @@ class LaurentSeries(_Series):
         if order > self.order:
             raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
         if order < self.valuation:
-            return LaurentSeries(order, [GR_ZERO])
-        return LaurentSeries(self.valuation, self.coeffs[: order - self.valuation + 1])
+            return _laurent(order, [GR_ZERO])
+        return _laurent(self.valuation, self.coeffs[: order - self.valuation + 1])
 
     def power_part(self) -> PowerSeries:
         """View as a power series; fails on a nonzero principal part."""
@@ -289,7 +314,7 @@ class LaurentSeries(_Series):
             raise ValueError("Laurent series has a nonzero principal part")
         if self.order < 0:
             raise InsufficientOrderError("no nonnegative degrees are known")
-        return PowerSeries([self.coefficient(k) for k in range(self.order + 1)])
+        return _power([self.coefficient(k) for k in range(self.order + 1)])
 
     # -- ring structure ----------------------------------------------------
 
@@ -298,29 +323,29 @@ class LaurentSeries(_Series):
             return self + PowerSeries.constant(other, max(self.order, 0)).as_laurent()
         val = min(self.valuation, other.valuation)
         order = min(self.order, other.order)
-        return LaurentSeries(val, [self.coefficient(k) + other.coefficient(k)
-                                   for k in range(val, order + 1)])
+        return _laurent(val, [self.coefficient(k) + other.coefficient(k)
+                              for k in range(val, order + 1)])
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.valuation, [-c for c in self.coeffs])
+        return _laurent(self.valuation, [-c for c in self.coeffs])
 
     def __mul__(self, other: Union["LaurentSeries", Coeff]) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             c = as_gaussian(other)
-            return LaurentSeries(self.valuation, [c * x for x in self.coeffs])
-        return LaurentSeries(self.valuation + other.valuation,
-                             truncated_product(self.coeffs, other.coeffs))
+            return _laurent(self.valuation, [c * x for x in self.coeffs])
+        return _laurent(self.valuation + other.valuation,
+                        truncated_product(self.coeffs, other.coeffs))
 
     def derivative(self) -> "LaurentSeries":
-        return LaurentSeries(self.valuation - 1,
-                             [k * c for k, c in enumerate(self.coeffs, self.valuation)])
+        return _laurent(self.valuation - 1,
+                        [k * c for k, c in enumerate(self.coeffs, self.valuation)])
 
     def scale_argument(self, w: Coeff) -> "LaurentSeries":
         """f(w*t). For w = 0 the result is f(0) when the valuation is at
         least 0; a negative valuation (a pole, or a zero series known only
         below degree 0) raises ZeroDivisionError from w ** valuation."""
         w = as_gaussian(w)
-        return LaurentSeries(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
+        return _laurent(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
 
     def as_laurent(self) -> "LaurentSeries":
         return self
@@ -336,14 +361,16 @@ def exp_series(f: PowerSeries) -> PowerSeries:
     """exp of a series with zero constant term."""
     if f.coeffs[0]:
         raise ValueError("exp_series requires zero constant term")
-    return PowerSeries(exp_coefficients(f.coeffs, GR_ONE))
+    return _power(exp_coefficients(f.coeffs, GR_ONE))
 
 
 def log_series(g: PowerSeries) -> PowerSeries:
     """log of a series with constant term 1."""
     if g.coeffs[0] != GR_ONE:
         raise ValueError("log_series requires constant term 1")
-    return PowerSeries(log_coefficients(g.coeffs))
+    q = log_coefficients(g.coeffs)
+    q[0] = GR_ZERO
+    return _power(q)
 
 
 # -- text rendering ----------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hirzebruch import catalog
 from hirzebruch.catalog import (
     CharacteristicSeries,
     SeriesSpec,
@@ -148,6 +150,60 @@ def test_coefficients_match_bernoulli_oracle(text):
     expected = [bernoulli[k] * s ** k / math.factorial(k) for k in range(order + 1)]
     expected[1] = expected[1] + x
     assert construct(spec, order).series == PowerSeries(expected)
+
+
+def hxy_by_inverse(x, y, order):
+    """The reference H_{x,y}: 1/phi + x*t, phi = (e^{st} - 1)/(st), inverted
+    over Q(i) for each (x, y)."""
+    s = x + y
+    phi = PowerSeries([s ** k / math.factorial(k + 1) for k in range(order + 1)])
+    return phi.inverse() + PowerSeries.monomial(1, order, x)
+
+
+EVERY_FAMILY = ["euler:a=3/2", "euler:a=1/2+2i", "todd", "ty:y=-1/3", "ty:y=2i",
+                "txy:x=2,y=1/3", "txy:x=1+i,y=-1/2i", "dab:a=1,b=1/2", "dab:a=1/2+3i,b=-1",
+                "gab:a=2/3,b=1/5", "gab:a=2/3,b=1-i"]
+
+
+@pytest.mark.parametrize("text", EVERY_FAMILY)
+def test_construct_matches_the_inverse_of_phi_path(text):
+    spec = parse_spec(text)
+    x, y = map(as_gaussian, ORACLE_XY[spec.family](spec.params))
+    reference = hxy_by_inverse(x, y, 64)
+    for order in range(2, 65):
+        assert construct(spec, order).series == reference.truncate(order)
+
+
+@pytest.mark.parametrize("first, second", [(9, 33), (33, 9)])
+def test_construct_at_a_lower_order_is_a_prefix(monkeypatch, first, second):
+    monkeypatch.setattr(catalog, "_TODD", ())
+    spec = parse_spec("gab:a=2/3,b=1-i")
+    results = {n: construct(spec, n).series for n in (first, second)}
+    assert results[9] == results[33].truncate(9)
+
+
+def test_todd_table_is_a_tuple_built_to_the_order_asked(monkeypatch):
+    monkeypatch.setattr(catalog, "_TODD", ())
+    for order, kept in ((20, 21), (10, 21), (21, 22), (257, 258), (3, 258)):
+        construct(parse_spec("todd"), order)
+        assert type(catalog._TODD) is tuple and len(catalog._TODD) == kept
+
+
+def test_first_construct_at_order_512_is_not_slower_than_the_inverse_of_phi(monkeypatch):
+    # the table's first build, on a cold cache, replaces one inverse over Q(i);
+    # the best of two interleaved runs each rides out a change of host speed
+    spec = parse_spec("dab:a=1/2+3i,b=-1")
+    cold, by_inverse = [], []
+    for _ in range(2):
+        monkeypatch.setattr(catalog, "_TODD", ())
+        start = time.process_time()
+        H = construct(spec, 512)
+        cold.append(time.process_time() - start)
+        start = time.process_time()
+        reference = hxy_by_inverse(*catalog._xy(spec), 512)
+        by_inverse.append(time.process_time() - start)
+        assert H.series == reference
+    assert min(cold) <= min(by_inverse)
 
 
 def test_characteristic_series_validation():

@@ -75,6 +75,53 @@ def test_expand_below_order_two_prints_the_degrees_asked(capsys, tmp_path, sourc
                                "coeffs": [{"re": c, "im": "0"} for c in text.split(", ")]}
 
 
+SHORT_TODD = {"valuation": 0, "order": 1, "coeffs": [{"re": "1", "im": "0"},
+                                                      {"re": "1/2", "im": "0"}]}
+
+
+@pytest.mark.parametrize("order, text", [(None, "1, 1/2"), ("0", "1"), ("1", "1, 1/2")],
+                         ids=["default-order", "order-0", "order-1"])
+def test_expand_prints_a_file_known_below_order_two(capsys, tmp_path, order, text):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT_TODD))
+    argv = ("expand", "--series", f"file:{path}") + (("--order", order) if order else ())
+    assert run(capsys, *argv) == (0, text + "\n", "")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert json.loads(out) == {"valuation": 0, "order": len(text.split(", ")) - 1,
+                               "coeffs": SHORT_TODD["coeffs"][:len(text.split(", "))]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["cpn", "--n", "1"], ["chern", "--kn", "1"], ["localize", "--weights", "0,1", "--order", "0"],
+    ["rigidity", "--max-n", "1", "--order", "2"], ["classify", "--order", "1"],
+], ids=lambda argv: argv[0])
+def test_other_verbs_still_need_a_file_known_to_order_two(capsys, tmp_path, argv):
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(SHORT_TODD))
+    code, out, err = run(capsys, argv[0], "--series", f"file:{path}", *argv[1:])
+    assert (code, out) == (1, "")
+    assert "must be known at least to order 2" in err
+
+
+def test_expand_keeps_the_constant_term_check_on_a_short_file(capsys, tmp_path):
+    data = dict(SHORT_TODD, coeffs=[{"re": "2", "im": "0"}, {"re": "1/2", "im": "0"}])
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    for order in ("0", "1"):
+        code, out, err = run(capsys, "expand", "--series", f"file:{path}", "--order", order)
+        assert (code, out) == (1, "")
+        assert "constant term 1" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["expand", "--help"], ["localize", "-h"]],
+                         ids=" ".join)
+def test_help_returns_zero_from_main(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: genus")
+
+
 def test_cpn_closed_form(capsys):
     code, out, _ = run(capsys, "cpn", "--series", "txy:x=2,y=3", "--n", "2", "--closed-form")
     assert code == 0

@@ -360,6 +360,65 @@ def test_scale_argument_multiplicative(f, g, w):
     assert (f * g).scale_argument(w) == f.scale_argument(w) * g.scale_argument(w)
 
 
+# -- trusted builders ----------------------------------------------------------------
+
+def assert_trusted(s):
+    """Q(i) coefficients only, in the series' normal form: a power series
+    from degree 0, a Laurent series with a nonzero lead or one zero."""
+    assert s.coeffs and all(type(c) is GaussianRational for c in s.coeffs), repr(s)
+    if isinstance(s, PowerSeries):
+        assert s.valuation == 0
+    else:
+        assert s.coeffs[0] or len(s.coeffs) == 1, repr(s)
+
+
+mixed = st.one_of(rationals, st.integers(-9, 9), complex_coeffs)
+
+
+def unit_power_series(order=6, constant=None):
+    """Power series on int, Fraction and Q(i) input, so that every result
+    below comes from a kernel that was handed coerced coefficients."""
+    head = st.just(constant) if constant is not None else mixed
+    return st.builds(lambda c0, tail: PowerSeries([c0] + tail),
+                     head, st.lists(mixed, min_size=order, max_size=order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_power_series(), unit_power_series(), mixed, mixed.filter(bool),
+       st.lists(mixed, min_size=6, max_size=6), st.integers(0, 6))
+def test_power_series_operations_return_trusted_coefficients(f, g, q, w, tail, k):
+    zero_head = PowerSeries([0] + tail)
+    results = [f + g, f + q, q + f, f - g, q - f, -f, f * g, f * q, q * f,
+               f.scale_argument(w), f.scale_argument(0), f.truncate(k), f.as_laurent(),
+               f.compose(zero_head), exp_series(zero_head),
+               log_series(PowerSeries([1] + tail)), f.as_laurent().power_part()]
+    if f.coeffs[0]:
+        results.append(f.inverse())
+    if tail[0]:
+        results.append(zero_head.reversion())
+    for r in results:
+        assert_trusted(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(laurent_series(), laurent_series(), mixed, mixed.filter(bool), st.integers(-4, 8))
+def test_laurent_operations_return_trusted_coefficients(a, b, q, w, k):
+    results = [a + b, a + q, q + a, a - b, q - a, -a, a * b, a * q, q * a,
+               a.scale_argument(w), a.derivative(), a.as_laurent(), a.truncate(min(k, a.order))]
+    if a.valuation >= 0 or a.is_zero:
+        if a.order >= 0:
+            results.append(a.power_part())
+        if a.valuation >= 0:
+            results.append(a.scale_argument(0))
+    for r in results:
+        assert_trusted(r)
+
+
+def test_log_series_has_the_q_i_zero_at_degree_zero():
+    L = log_series(PowerSeries([1, 1, 0, 0]))
+    assert type(L.coefficient(0)) is GaussianRational and not L.coefficient(0)
+
+
 # -- JSON ------------------------------------------------------------------------------
 
 def test_json_roundtrip():

@@ -54,8 +54,8 @@ MUTANTS = [
     ("lemma41-one-short", S + "rigidity.py", "H.series.truncate(order + 2).coeffs",
      "H.series.truncate(order + 1).coeffs",
      "test_rigidity.py::test_lemma41_residual_is_known_to_the_order_asked"),
-    ("generic-drops-sign", S + "localization.py", "total = total + p.sign * prod",
-     "total = total + prod",
+    ("generic-drops-sign", S + "localization.py",
+     "total = total + prod if p.sign > 0 else total - prod", "total = total + prod",
      "test_localization.py::test_chern_numbers_from_fixed_points_match_localization"),
     ("witness-reads-degree-0", S + "rigidity.py", "if c and k:", "if c:",
      "test_rigidity.py::test_nonconstant_witness_is_the_first_nonzero_term_off_degree_zero"),
@@ -64,6 +64,17 @@ MUTANTS = [
     ("inverse-stops-at-40", S + "series.py", "dot(a[1:k + 1], out[::-1])",
      "dot(a[1:min(k, 40) + 1], out[::-1])",
      "test_catalog.py::test_coefficients_match_bernoulli_oracle"),
+    ("hxy-drops-x", S + "catalog.py", "coeffs[1] = coeffs[1] + x", "coeffs[1] = coeffs[1]",
+     "test_catalog.py::test_construct_matches_the_inverse_of_phi_path[todd]"),
+    ("todd-table-shifted", S + "catalog.py", "_scaled(_todd_table(order), x + y, GR_ONE)",
+     "_scaled(_todd_table(order + 1)[1:], x + y, GR_ONE)",
+     "test_catalog.py::test_construct_matches_the_inverse_of_phi_path[todd]"),
+    ("log-int-zero", S + "series.py", "q[0] = GR_ZERO", "q[0] = 0",
+     "test_series.py::test_power_series_operations_return_trusted_coefficients"),
+    ("trusted-laurent-skips-normal-form", S + "series.py",
+     "out.valuation, out.coeffs = _normal_form(valuation, tuple(cs))",
+     "out.valuation, out.coeffs = valuation, tuple(cs)",
+     "test_series.py::test_laurent_operations_return_trusted_coefficients"),
     ("reader-ignores-valuation", S + "series.py", "self.coeffs[k - self.valuation]",
      "self.coeffs[k]",
      "test_series.py::test_power_series_reads_compares_and_prints_as_its_laurent_form"),
@@ -137,6 +148,12 @@ MUTANTS = [
      "test_cli.py::test_localize_refuses_a_negative_order_before_any_work"),
     ("admit-refuses-the-cap", S + "cli.py", "<= cap:", "< cap:",
      "test_cli.py::test_sizes_at_the_new_caps_reach_construct[200-trials]"),
+    ("help-escapes-main", S + "cli.py", "except SystemExit as exc:",
+     "except KeyboardInterrupt as exc:", "test_cli.py::test_help_returns_zero_from_main[expand --help]"),
+    ("expand-file-needs-order-two", S + "cli.py",
+     "series = _file_series(args.series, args.order)",
+     "series = _series(args.series, args.order).series.truncate(args.order)",
+     "test_cli.py::test_expand_prints_a_file_known_below_order_two[order-0]"),
     ("series-skips-min-order", S + "cli.py", "    order = max(order, 2)\n", "",
      "test_cli.py::test_expand_below_order_two_prints_the_degrees_asked[spec-order-1]"),
 ]
