@@ -7,6 +7,7 @@ f' = -f^2 + h1*f + h2 - h1^2 determined by its own r1 and h2.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Set, Tuple
@@ -242,10 +243,22 @@ def _check_sweep(max_n: int, order: int, trials: int) -> None:
 
 
 def sweep_shapes(max_n: int, order: int, trials: int, seed: int) -> Set[WeightTuple]:
-    """The shapes that ar_check(H, max_n, order, trials, seed) localizes
-    when every one passes, without localizing any: a bound on its work."""
+    """The shapes of the tuples that ar_check(H, max_n, order, trials, seed)
+    visits when every one passes, without localizing any: a bound on its
+    work. It localizes one tuple per affine class, and one class may hold
+    several shapes, so it can localize fewer tuples than there are shapes."""
     _check_sweep(max_n, order, trials)
     return {shape for _, shape in _sweep(max_n, trials, seed)}
+
+
+def _affine_class(shape: WeightTuple) -> WeightTuple:
+    """The key of a shape's class under w -> lam*w + mu, lam a nonzero
+    integer: the shape over its gcd, or the reflection top - x of that if
+    it is smaller. The sums of two tuples in one class differ by t -> lam*t,
+    so one is constant exactly when the other is."""
+    g = math.gcd(*shape)
+    s = tuple(x // g for x in shape)
+    return min(s, tuple(s[-1] - x for x in reversed(s)))
 
 
 def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
@@ -258,9 +271,10 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
     the first nonconstant result. The gapped tuples cover max_n up to 6.
     Weights enter as differences w_j - w_i, so the degree-1 coefficient is
     always zero: `order` must be at least 2, or every series passes. For
-    the same reason a translate or reordering of a tuple already checked
-    gives the same sum: it is counted in `tuples_checked` but not
-    localized again.
+    the same reason the sum of lam*w + mu, reordered, is the sum of w at
+    lam*t for every integer lam != 0, so its coefficient k is lam^k times
+    that of w: a tuple in the affine class of one already checked is
+    counted in `tuples_checked` but not localized again.
     """
     _check_sweep(max_n, order, trials)
     if H.order < order + max_n:
@@ -268,12 +282,13 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
             f"ar_check at order {order} with max_n {max_n} needs H to order "
             f"{order + max_n}, have {H.order}")
     checked: List[WeightTuple] = []
-    shapes = set()
+    classes = set()
     for weights, shape in _sweep(max_n, trials, seed):
         checked.append(weights)
-        if shape in shapes:
+        key = _affine_class(shape)
+        if key in classes:
             continue
-        shapes.add(shape)
+        classes.add(key)
         s = equivariant_genus(H, cpn_fixed_points(weights), order)
         bad = _nonconstant_witness(s)
         if bad is not None:

@@ -321,10 +321,12 @@ class LaurentSeries(_Series):
     def __add__(self, other: Union["LaurentSeries", Coeff]) -> "LaurentSeries":
         if not isinstance(other, LaurentSeries):
             return self + PowerSeries.constant(other, max(self.order, 0)).as_laurent()
-        val = min(self.valuation, other.valuation)
-        order = min(self.order, other.order)
-        return _laurent(val, [self.coefficient(k) + other.coefficient(k)
-                              for k in range(val, order + 1)])
+        lo, hi = (self, other) if self.valuation <= other.valuation else (other, self)
+        gap = hi.valuation - lo.valuation
+        # the zip stops at the joint order; when lo ends below hi's valuation
+        # it is empty, and lo alone is the sum
+        return _laurent(lo.valuation, lo.coeffs[:gap] + tuple(
+            x + y for x, y in zip(lo.coeffs[gap:], hi.coeffs)))
 
     def __neg__(self) -> "LaurentSeries":
         return _laurent(self.valuation, [-c for c in self.coeffs])

@@ -10,7 +10,8 @@ with real and with complex parameters, through the coefficients, h_n, K_n
 and the localization sum on signed fixed-point data. A fourth relation is
 one of the action, not of H: the CP^n localization sum reads only the
 differences w_k - w_i, so a shuffled translate of the weights gives the
-same series.
+same series, and an integer multiple lam*w + mu gives the series at lam*t,
+for every H, perturbed ones (not GT) included.
 """
 import functools
 
@@ -18,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hirzebruch.catalog import FAMILIES, SeriesSpec, construct, h_n
+from hirzebruch.catalog import FAMILIES, CharacteristicSeries, SeriesSpec, construct, h_n
 from hirzebruch.chern import k_polynomials
 from hirzebruch.gaussian import GaussianRational
 from hirzebruch.localization import FixedPoint, FixedPointSet, cpn_fixed_points, equivariant_genus
 from hirzebruch.rigidity import classify
-from hirzebruch.series import LaurentSeries
+from hirzebruch.series import LaurentSeries, PowerSeries
 
 ORDER = 6  # the series order; localization sums go to ORDER - n
 N_MAX = 3  # h_n and K_n for n <= N_MAX
@@ -139,3 +140,37 @@ def test_shuffled_translates_of_cpn_weights_give_the_same_sum(family, kind, data
     order = ORDER - (len(w) - 1)
     assert (equivariant_genus(H, cpn_fixed_points(moved), order)
             == equivariant_genus(H, cpn_fixed_points(w), order))
+
+
+def perturbed(spec, degree, bump):
+    """H of the spec with `bump` added at `degree` >= 3: r1 and h2 stay, so
+    the rigidity ODE rebuilds the old H, and the new one is not GT."""
+    coeffs = list(construct(spec, ORDER).series.coeffs)
+    coeffs[degree] = coeffs[degree] + bump
+    return CharacteristicSeries(PowerSeries(coeffs))
+
+
+def any_spec(kind):
+    names = [f for f in FAMILY_NAMES if kind == "real" or FAMILIES[f].params]
+    return st.sampled_from(names).flatmap(lambda family: specs(family, kind))
+
+
+characteristic = {
+    "real": any_spec("real").map(lambda spec: construct(spec, ORDER)),
+    "complex": any_spec("complex").map(lambda spec: construct(spec, ORDER)),
+    "perturbed": st.builds(perturbed, any_spec("real"), st.integers(3, ORDER),
+                           st.one_of(VALUES["real"], VALUES["complex"]).filter(bool)),
+}
+
+
+@pytest.mark.parametrize("kind", list(characteristic))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), w=cpn_weights, lam=st.integers(-4, 4).filter(bool),
+       mu=st.integers(-9, 9))
+def test_integer_affine_images_of_cpn_weights_scale_the_argument(kind, data, w, lam, mu):
+    H = data.draw(characteristic[kind])
+    if kind == "perturbed":
+        assert not classify(H).is_gt
+    order = ORDER - (len(w) - 1)
+    assert (equivariant_genus(H, cpn_fixed_points([lam * v + mu for v in w]), order)
+            == equivariant_genus(H, cpn_fixed_points(w), order).scale_argument(lam))

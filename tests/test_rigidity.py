@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hirzebruch.catalog import CharacteristicSeries, SeriesSpec, construct, h_n, parse_spec
 from hirzebruch.gaussian import GR_I, GaussianRational
 from hirzebruch.localization import cpn_fixed_points, equivariant_genus
 from hirzebruch.rigidity import (
     _MAX_N,
+    ARReport,
     NotEvenSeriesError,
     _base_tuples,
     _nonconstant_witness,
+    _sweep,
     ar1_residual,
     ar_check,
     classify,
@@ -262,11 +266,16 @@ def test_ar_check_fails_with_scaling_law_witness():
     assert coeff == 2 * w * w
 
 
-def shape(weights):
-    return tuple(sorted(w - min(weights) for w in weights))
+def affine_class(weights):
+    """The sorted weights moved and scaled onto [0, 1], or their reflection
+    1 - x if smaller: two tuples agree here exactly when both are integer
+    images lam*w + mu (lam != 0) of one tuple w."""
+    low, top = min(weights), max(weights)
+    unit = sorted(Fraction(w - low, top - low) for w in weights)
+    return min(tuple(unit), tuple(1 - x for x in reversed(unit)))
 
 
-def test_ar_check_localizes_each_shape_once(monkeypatch):
+def test_ar_check_localizes_each_affine_class_once(monkeypatch):
     calls = []
 
     def counted(H, fps, order):
@@ -277,16 +286,30 @@ def test_ar_check_localizes_each_shape_once(monkeypatch):
     report = ar_check(construct(parse_spec("todd"), 14), max_n=2, order=12, trials=0)
     assert report.passed
     assert len(report.tuples_checked) == 124
-    assert len(calls) == len({shape(w) for w in report.tuples_checked}) == 39
+    first = {}  # the first tuple of each class, the one localized
+    for w in report.tuples_checked:
+        first.setdefault(affine_class(w), w)
+    assert len(first) == 14  # CP^1 in 1 class, CP^2 in 13
+    assert calls == [cpn_fixed_points(w) for w in first.values()]
 
 
-def reference_sweep(H, tuples, order):
-    """(passed, witness) from localizing every tuple, translates included."""
-    for weights in tuples:
+def reference_sweep(H, max_n, order, trials, seed):
+    """The ARReport of localizing every tuple of the sweep, each translate,
+    multiple and reflection included."""
+    checked = []
+    for weights, _ in _sweep(max_n, trials, seed):
+        checked.append(weights)
         bad = _nonconstant_witness(equivariant_genus(H, cpn_fixed_points(weights), order))
         if bad is not None:
-            return False, (weights, *bad)
-    return True, None
+            return ARReport(max_n, order, checked, False, witness=(weights, *bad))
+    return ARReport(max_n, order, checked, True)
+
+
+def bumped(text, order, degree, bump):
+    H = construct(parse_spec(text), order)
+    coeffs = list(H.series.coeffs)
+    coeffs[degree] = coeffs[degree] + bump
+    return CharacteristicSeries(PowerSeries(coeffs))
 
 
 @pytest.mark.parametrize("text, bump", [
@@ -298,13 +321,22 @@ def test_ar_check_agrees_with_localizing_every_tuple(text, bump):
     # bump adds to the t^6 term, which leaves AR^1 but not AR^2 standing
     # on an even series minus its r1*t
     order, max_n = 8, 3
-    H = construct(parse_spec(text), order + max_n)
-    coeffs = list(H.series.coeffs)
-    coeffs[6] = coeffs[6] + bump
-    H = CharacteristicSeries(PowerSeries(coeffs))
+    H = bumped(text, order + max_n, 6, bump)
     report = ar_check(H, max_n=max_n, order=order, trials=10, seed=3)
     assert report.passed == (not bump)
-    assert (report.passed, report.witness) == reference_sweep(H, report.tuples_checked, order)
+    assert report == reference_sweep(H, max_n, order, 10, 3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=st.sampled_from(["dab:a=2,b=1/3", "ty:y=2", "dab:a=1/2+i,b=1/3", "gab:a=3/5+i,b=-2/7"]),
+       max_n=st.integers(1, 3), degree=st.integers(2, 7),
+       bump=st.sampled_from([0, Fraction(1, 9), Fraction(-2, 5), GaussianRational(1, 2)]),
+       trials=st.integers(0, 6), seed=st.integers(0, 2 ** 16))
+def test_ar_check_report_is_the_report_of_localizing_every_tuple(
+        text, max_n, degree, bump, trials, seed):
+    order = 6
+    H = bumped(text, order + max_n, degree, bump)
+    assert ar_check(H, max_n, order, trials, seed) == reference_sweep(H, max_n, order, trials, seed)
 
 
 def test_ar_check_insufficient_order():

@@ -1,8 +1,9 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hirzebruch.gaussian import GR_ONE, GR_ZERO, GaussianRational
@@ -254,6 +255,29 @@ def test_zero_series_keeps_knowledge_horizon():
     z = LaurentSeries(-2, [0, 0, 0, 0])
     assert z.is_zero
     assert z.order == 1
+
+
+def per_degree(a, b, op):
+    """op(a, b) read degree by degree over the jointly known range."""
+    val, order = min(a.valuation, b.valuation), min(a.order, b.order)
+    return LaurentSeries(val, [op(a.coefficient(k), b.coefficient(k))
+                               for k in range(val, order + 1)])
+
+
+# valuations far apart next to short ranges, so that one operand's known
+# range often ends below the other's valuation
+short_laurent = st.builds(LaurentSeries, st.integers(-8, 8),
+                          st.lists(st.one_of(st.just(0), complex_coeffs), min_size=1, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(short_laurent, short_laurent)
+@example(LaurentSeries(-3, [1, 2]), LaurentSeries(4, [5, 6, 7]))
+@example(LaurentSeries(0, [1, 2, 3, 4]), LaurentSeries(1, [5]))
+def test_laurent_sum_and_difference_match_the_per_degree_reference(a, b):
+    for x, y in ((a, b), (b, a)):
+        assert x + y == per_degree(x, y, operator.add)
+        assert x - y == per_degree(x, y, operator.sub)
 
 
 # -- equality ------------------------------------------------------------------

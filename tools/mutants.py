@@ -80,6 +80,11 @@ MUTANTS = [
      "test_series.py::test_power_series_reads_compares_and_prints_as_its_laurent_form"),
     ("rsub-keeps-sign", S + "series.py", "(-self) + other", "self + other",
      "test_series.py::test_power_series_reads_compares_and_prints_as_its_laurent_form"),
+    ("laurent-add-drops-low-head", S + "series.py", "lo.coeffs[:gap] + tuple(", "tuple(",
+     "test_series.py::test_laurent_sum_and_difference_match_the_per_degree_reference"),
+    ("laurent-add-ignores-gap", S + "series.py", "zip(lo.coeffs[gap:], hi.coeffs)",
+     "zip(lo.coeffs, hi.coeffs)",
+     "test_series.py::test_laurent_sum_and_difference_match_the_per_degree_reference"),
     ("dot-skips-rescale", S + "gaussian.py",
      "A = A * t + (a * c - b * e) * s\n                B = B * t + (a * e + b * c) * s",
      "A = A * t + (a * c - b * e)\n                B = B * t + (a * e + b * c)",
@@ -105,10 +110,19 @@ MUTANTS = [
      "for j in range(size - i - 1):",
      "test_localization.py::test_fast_and_generic_paths_agree[0-real]"),
     ("shape-ignores-translation", S + "rigidity.py", "low = min(weights)", "low = 0",
-     "test_rigidity.py::test_ar_check_localizes_each_shape_once"),
+     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
     ("shape-too-coarse", S + "rigidity.py", "shape = tuple(sorted(w - low for w in weights))",
      "shape = (len(weights), max(weights) - low)",
-     "test_rigidity.py::test_ar_check_localizes_each_shape_once"),
+     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
+    ("class-key-drops-gcd", S + "rigidity.py", "g = math.gcd(*shape)", "g = 1",
+     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
+    ("class-key-drops-reflection", S + "rigidity.py",
+     "return min(s, tuple(s[-1] - x for x in reversed(s)))", "return s",
+     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
+    ("class-key-merges-arities", S + "rigidity.py",
+     "return min(s, tuple(s[-1] - x for x in reversed(s)))",
+     "return min(s, tuple(s[-1] - x for x in reversed(s)))[:2]",
+     "test_rigidity.py::test_ar_check_agrees_with_localizing_every_tuple[todd-bump1]"),
     ("sqrt-real-sign", S + "gaussian.py", "if y < 0:", "if y <= 0:",
      "test_cli_golden.py::test_cli_golden[classify --series todd]"),
     ("div-zero-check-real-only", S + "gaussian.py",
