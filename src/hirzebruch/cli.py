@@ -33,7 +33,7 @@ from .localization import (
     equivariant_genus,
     fixed_points_from_json,
 )
-from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented, sweep_shapes
+from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented, sweep_plan
 from .series import PowerSeries, series_from_json, series_to_json
 
 EXIT_OK = 0
@@ -42,7 +42,7 @@ EXIT_CHECK_FAILED = 2
 # largest --order, cpn --n, chern --kn and rigidity --trials
 CAPS = {"order": 512, "n": 512, "kn": 24, "trials": 200}
 # largest localization work, of one `localize` run or summed over the shapes
-# of a `rigidity` sweep: see _localize_work
+# of a `rigidity` sweep's plan: see _localize_work
 LOCALIZE_WORK = 2_000_000
 _WORK = "localize work points*n*(order+n)^2*(1 + bits//16)"
 
@@ -234,7 +234,7 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
-    shapes = sweep_shapes(args.max_n, args.order, args.trials, args.seed)
+    shapes = {shape for _, shape, _ in sweep_plan(args.max_n, args.order, args.trials, args.seed)}
     _admit(_WORK, sum(_cpn_work(s, args.order) for s in shapes), LOCALIZE_WORK)
     H = _series(args.series, args.order + args.max_n)
     report = ar_check(H, args.max_n, args.order, args.trials, args.seed)

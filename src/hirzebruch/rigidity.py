@@ -216,21 +216,22 @@ def _nonconstant_witness(s: LaurentSeries) -> Optional[Tuple[int, GaussianRation
     return None
 
 
-def _sweep(max_n: int, trials: int, seed: int) -> Iterator[Tuple[WeightTuple, WeightTuple]]:
-    """The weight tuples of an ar_check sweep in order, each with its shape
-    (the sorted weights minus their minimum): for each m <= max_n the base
-    set, then `trials` seeded-random distinct tuples in [-20, 20]."""
-    rng = random.Random(seed)
-    universe = range(-20, 21)
-    for m in range(1, max_n + 1):
-        tuples = _base_tuples(m) + [tuple(rng.sample(universe, m + 1)) for _ in range(trials)]
-        for weights in tuples:
-            low = min(weights)
-            shape = tuple(sorted(w - low for w in weights))
-            yield weights, shape
+def sweep_plan(max_n: int, order: int, trials: int, seed: int
+               ) -> Iterator[Tuple[WeightTuple, WeightTuple, bool]]:
+    """The weight tuples of ar_check(H, max_n, order, trials, seed) in order,
+    made lazily, so a sweep that stops early makes no more. For each
+    m <= max_n: all distinct tuples in [-4, 4] when m <= 2, two fixed
+    gapped tuples (they cover max_n up to 6), then `trials` seeded-random
+    distinct tuples in [-20, 20]. Each comes with its shape, the sorted
+    weights minus their minimum, and `first`, true for the first tuple of
+    its affine class: the one tuple ar_check localizes. The arguments are
+    checked on the call, before any tuple is made.
 
-
-def _check_sweep(max_n: int, order: int, trials: int) -> None:
+    The class of a shape under w -> lam*w + mu, lam a nonzero integer, is
+    keyed by the shape over its gcd, or the reflection top - x of that if
+    it is smaller. A shape seen before is in a class seen before, so the
+    key is made once per new shape.
+    """
     if max_n < 1:
         raise ValueError("max_n must be at least 1")
     if order < 2:
@@ -240,55 +241,52 @@ def _check_sweep(max_n: int, order: int, trials: int) -> None:
     if max_n > _MAX_N:
         raise ValueError(f"max_n must be at most {_MAX_N}, the largest CP^m "
                          f"the gapped weight tuples cover")
+    rng = random.Random(seed)
+    universe = range(-20, 21)
+    shapes: Set[WeightTuple] = set()
+    classes: Set[WeightTuple] = set()  # affine-class keys of the shapes
 
-
-def sweep_shapes(max_n: int, order: int, trials: int, seed: int) -> Set[WeightTuple]:
-    """The shapes of the tuples that ar_check(H, max_n, order, trials, seed)
-    visits when every one passes, without localizing any: a bound on its
-    work. It localizes one tuple per affine class, and one class may hold
-    several shapes, so it can localize fewer tuples than there are shapes."""
-    _check_sweep(max_n, order, trials)
-    return {shape for _, shape in _sweep(max_n, trials, seed)}
-
-
-def _affine_class(shape: WeightTuple) -> WeightTuple:
-    """The key of a shape's class under w -> lam*w + mu, lam a nonzero
-    integer: the shape over its gcd, or the reflection top - x of that if
-    it is smaller. The sums of two tuples in one class differ by t -> lam*t,
-    so one is constant exactly when the other is."""
-    g = math.gcd(*shape)
-    s = tuple(x // g for x in shape)
-    return min(s, tuple(s[-1] - x for x in reversed(s)))
+    def plan():
+        for m in range(1, max_n + 1):
+            drawn = [tuple(rng.sample(universe, m + 1)) for _ in range(trials)]
+            for weights in _base_tuples(m) + drawn:
+                low = min(weights)
+                shape = tuple(sorted(w - low for w in weights))
+                first = shape not in shapes
+                if first:
+                    shapes.add(shape)
+                    g = math.gcd(*shape)
+                    s = tuple(x // g for x in shape)
+                    key = min(s, tuple(s[-1] - x for x in reversed(s)))
+                    first = key not in classes
+                    classes.add(key)
+                yield weights, shape, first
+    return plan()
 
 
 def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
              trials: int = 20, seed: int = 0) -> ARReport:
-    """Sample the localization sum over weight tuples and test constancy.
+    """Sample the localization sum over the tuples of `sweep_plan` and stop
+    at the first nonconstant one.
 
-    For each m <= max_n the sweep takes a deterministic base set (all
-    distinct tuples in [-4, 4] when m <= 2, plus fixed gapped tuples)
-    and `trials` seeded-random distinct tuples in [-20, 20]; it stops at
-    the first nonconstant result. The gapped tuples cover max_n up to 6.
     Weights enter as differences w_j - w_i, so the degree-1 coefficient is
     always zero: `order` must be at least 2, or every series passes. For
     the same reason the sum of lam*w + mu, reordered, is the sum of w at
-    lam*t for every integer lam != 0, so its coefficient k is lam^k times
-    that of w: a tuple in the affine class of one already checked is
-    counted in `tuples_checked` but not localized again.
+    lam*t for every integer lam != 0, whose coefficient k is lam^k times
+    that of w. So only the plan's `first` tuple of each affine class is
+    localized, and every tuple is counted in `tuples_checked`. The same
+    plan gives `genus rigidity` the shapes it charges before any work.
     """
-    _check_sweep(max_n, order, trials)
+    plan = sweep_plan(max_n, order, trials, seed)
     if H.order < order + max_n:
         raise InsufficientOrderError(
             f"ar_check at order {order} with max_n {max_n} needs H to order "
             f"{order + max_n}, have {H.order}")
     checked: List[WeightTuple] = []
-    classes = set()
-    for weights, shape in _sweep(max_n, trials, seed):
+    for weights, _, first in plan:
         checked.append(weights)
-        key = _affine_class(shape)
-        if key in classes:
+        if not first:
             continue
-        classes.add(key)
         s = equivariant_genus(H, cpn_fixed_points(weights), order)
         bad = _nonconstant_witness(s)
         if bad is not None:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hirzebruch.localization import (
     FixedPointSet,
     _int_product,
     _localize_generic,
+    _localize_rational,
     ahbr_value,
     cpn_fixed_points,
     equivariant_genus,
@@ -235,6 +237,39 @@ def test_chern_numbers_from_fixed_points_match_localization(fps, seed):
     H = rand_complex_series(random.Random(seed), max(fps.n, 2))
     chern_side = evaluate_genus(k_polynomials(H, fps.n)[fps.n], fixed_point_chern_numbers(fps))
     assert chern_side == equivariant_genus(H, fps, 0).coefficient(0)
+
+
+def elementary_symmetric(ws, top):
+    """e_0..e_top of the weights ws, the coefficients of prod_j (1 + w_j x)."""
+    e = [1] + [0] * top
+    for w in ws:
+        e = [e[0]] + [a + w * b for a, b in zip(e[1:], e)]
+    return e
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_fixed_points, st.data(), st.booleans(), st.integers(0, 2**32))
+def test_every_degree_of_localization_is_the_multiplicative_sequence(fps, data, complex_h, seed):
+    # prod_j H(w_j t) = sum_m K_m(e_1(w), ..., e_m(w)) t^m with e_j = 0 past
+    # j = n, so coefficient k of the sum is sum_p sign_p K_{n+k}(e(w_p)) / e_n(w_p)
+    n = fps.n
+    order = data.draw(st.integers(0, 16 - n), label="order")
+    rng = random.Random(seed)
+    known = max(order + n, 2)  # the least order a characteristic series has
+    H = rand_complex_series(rng, known) if complex_h else rand_series(rng, known)
+    with patch("hirzebruch.localization._localize_rational", wraps=_localize_rational) as fast, \
+            patch("hirzebruch.localization._localize_generic", wraps=_localize_generic) as generic:
+        s = equivariant_genus(H, fps, order)
+    assert (fast.called, generic.called) == (not complex_h, complex_h)
+    K = k_polynomials(H, order + n)  # K[m] is multiplicative_sequence(H, m)
+    for k in range(-n, order + 1):
+        expected = 0
+        for p in fps.points:
+            e = elementary_symmetric(p.weights, order + n)
+            value = sum((c * math.prod(e[j] for j in lam) for lam, c in K[n + k].terms.items()),
+                        GaussianRational(0))
+            expected = expected + p.sign * value / e[n]
+        assert s.coefficient(k) == expected, k
 
 
 @pytest.mark.parametrize("fps, expected", [

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +15,13 @@ from hirzebruch.rigidity import (
     NotEvenSeriesError,
     _base_tuples,
     _nonconstant_witness,
-    _sweep,
     ar1_residual,
     ar_check,
     classify,
     classify_oriented,
     lemma41_residual,
     reconstruct,
+    sweep_plan,
 )
 from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries
 
@@ -293,11 +294,52 @@ def test_ar_check_localizes_each_affine_class_once(monkeypatch):
     assert calls == [cpn_fixed_points(w) for w in first.values()]
 
 
+def translation_shape(weights):
+    """The sorted weights rebuilt from 0 by their successive gaps."""
+    ws = sorted(weights)
+    return tuple(accumulate((b - a for a, b in zip(ws, ws[1:])), initial=0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(max_n=st.integers(1, 4), trials=st.integers(0, 8), seed=st.integers())
+def test_sweep_plan_marks_the_first_tuple_of_each_affine_class(max_n, trials, seed):
+    plan = list(sweep_plan(max_n, 12, trials, seed))
+    rng = random.Random(seed)
+    assert [w for w, _, _ in plan] == [
+        w for m in range(1, max_n + 1)
+        for w in _base_tuples(m) + [tuple(rng.sample(range(-20, 21), m + 1))
+                                    for _ in range(trials)]]
+    # the shapes admission charges: one per translation class of the tuples
+    assert {shape for _, shape, _ in plan} == {translation_shape(w) for w, _, _ in plan}
+    localized = set()  # the classes of the first tuples seen so far
+    for weights, _, first in plan:
+        cls = affine_class(weights)
+        assert first == (cls not in localized), weights
+        localized.add(cls)
+
+
+def test_sweep_plan_checks_its_arguments_on_the_call_and_draws_lazily(monkeypatch):
+    with pytest.raises(ValueError, match="at most 6"):
+        sweep_plan(7, 12, 0, 0)  # refused before any tuple is asked for
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return _base_tuples(m)
+
+    monkeypatch.setattr("hirzebruch.rigidity._base_tuples", counted)
+    plan = sweep_plan(6, 12, 200, 0)
+    assert built == []
+    assert next(plan) == ((-4, -3), (0, 1), True)
+    assert next(plan) == ((-4, -2), (0, 2), False)
+    assert built == [1]
+
+
 def reference_sweep(H, max_n, order, trials, seed):
     """The ARReport of localizing every tuple of the sweep, each translate,
     multiple and reflection included."""
     checked = []
-    for weights, _ in _sweep(max_n, trials, seed):
+    for weights, _, _ in sweep_plan(max_n, order, trials, seed):
         checked.append(weights)
         bad = _nonconstant_witness(equivariant_genus(H, cpn_fixed_points(weights), order))
         if bad is not None:

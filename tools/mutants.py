@@ -22,6 +22,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 S = "src/hirzebruch/"
+PLAN = "test_rigidity.py::test_sweep_plan_marks_the_first_tuple_of_each_affine_class"
 MUTANTS = [
     ("unsorted-product-key", S + "chern.py",
      "table[index[tuple(sorted(lam1 + lam2, reverse=True))]]", "table[index[lam1 + lam2]]",
@@ -109,20 +110,22 @@ MUTANTS = [
     ("int-product-drops-top-degree", S + "localization.py", "for j in range(size - i):",
      "for j in range(size - i - 1):",
      "test_localization.py::test_fast_and_generic_paths_agree[0-real]"),
-    ("shape-ignores-translation", S + "rigidity.py", "low = min(weights)", "low = 0",
-     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
+    ("shape-ignores-translation", S + "rigidity.py", "low = min(weights)", "low = 0", PLAN),
     ("shape-too-coarse", S + "rigidity.py", "shape = tuple(sorted(w - low for w in weights))",
-     "shape = (len(weights), max(weights) - low)",
-     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
-    ("class-key-drops-gcd", S + "rigidity.py", "g = math.gcd(*shape)", "g = 1",
-     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
+     "shape = (len(weights), max(weights) - low)", PLAN),
+    ("class-key-drops-gcd", S + "rigidity.py", "g = math.gcd(*shape)", "g = 1", PLAN),
     ("class-key-drops-reflection", S + "rigidity.py",
-     "return min(s, tuple(s[-1] - x for x in reversed(s)))", "return s",
-     "test_rigidity.py::test_ar_check_localizes_each_affine_class_once"),
+     "key = min(s, tuple(s[-1] - x for x in reversed(s)))", "key = s", PLAN),
     ("class-key-merges-arities", S + "rigidity.py",
-     "return min(s, tuple(s[-1] - x for x in reversed(s)))",
-     "return min(s, tuple(s[-1] - x for x in reversed(s)))[:2]",
-     "test_rigidity.py::test_ar_check_agrees_with_localizing_every_tuple[todd-bump1]"),
+     "key = min(s, tuple(s[-1] - x for x in reversed(s)))",
+     "key = min(s, tuple(s[-1] - x for x in reversed(s)))[:2]", PLAN),
+    ("plan-first-per-shape", S + "rigidity.py", "first = key not in classes", "first = True", PLAN),
+    ("plan-forgets-classes", S + "rigidity.py", "classes.add(key)", "pass", PLAN),
+    ("plan-made-eagerly", S + "rigidity.py", "return plan()", "return iter(list(plan()))",
+     "test_rigidity.py::test_sweep_plan_checks_its_arguments_on_the_call_and_draws_lazily"),
+    ("rational-drops-point-scale", S + "localization.py", "scale = p.sign * (shared // wprod)",
+     "scale = p.sign",
+     "test_localization.py::test_every_degree_of_localization_is_the_multiplicative_sequence"),
     ("sqrt-real-sign", S + "gaussian.py", "if y < 0:", "if y <= 0:",
      "test_cli_golden.py::test_cli_golden[classify --series todd]"),
     ("div-zero-check-real-only", S + "gaussian.py",
