@@ -27,7 +27,6 @@ from .localization import (
     ahbr_value,
     cpn_fixed_points,
     equivariant_genus,
-    sign_counts,
 )
 from .rigidity import (
     ARReport,

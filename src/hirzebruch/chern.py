@@ -136,10 +136,6 @@ class GradedPoly:
     def terms(self) -> Mapping[Partition, GaussianRational]:
         return _nonzero(self.degree, self.values)
 
-    def __getitem__(self, key: Sequence[int]) -> GaussianRational:
-        i = _index(self.degree).get(make_partition(key))
-        return GR_ZERO if i is None else self.values[i]
-
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         if self.degree != other.degree:
             raise ValueError("cannot add graded pieces of different degrees")
@@ -178,20 +174,6 @@ class GradedPoly:
         Y = [v for y in ys for v in y.values]
         return _graded(degree, tuple(dot(map(X.__getitem__, i1s), map(Y.__getitem__, i2s))
                                      for i1s, i2s in _product_table(tuple(run))))
-
-    def evaluate(self, values: Sequence[object]) -> GaussianRational:
-        """Substitute numeric Chern values; values[j-1] is the value of c_j.
-
-        One `gaussian.dot` of the coefficients against the monomials
-        prod_{j in key} values[j-1]; a c_j with no value is a ValueError.
-        """
-        vals = [as_gaussian(v) for v in values]
-        terms = self.terms
-        for key in terms:
-            if key and key[0] > len(vals):
-                raise ValueError(f"no value supplied for c_{key[0]}")
-        return dot(terms.values(),
-                   [math.prod((vals[j - 1] for j in key), start=GR_ONE) for key in terms])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GradedPoly):
@@ -276,11 +258,9 @@ def chern_data_from_json(data: dict) -> GradedPoly:
         dimension = data["dimension"]
         if type(dimension) is not int:
             raise ValueError(f"dimension must be an integer, got {dimension!r}")
-        entries = data["numbers"]
-        if any(type(e["value"]) not in (int, str) for e in entries):  # a float is not exact
-            raise ValueError("Chern numbers must be strings or integers")
+        # str() of a JSON float, bool or null is no Gaussian rational literal
         values = _aligned(dimension, [(e["partition"], parse_gaussian(str(e["value"])))
-                                      for e in entries])
+                                      for e in data["numbers"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Chern data file: {exc}") from exc
     return _graded(dimension, values)

@@ -12,6 +12,7 @@ mix freely with :class:`GaussianRational` in arithmetic expressions.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
@@ -27,7 +28,8 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
-        re, im = Fraction(re), Fraction(im)
+        re = _fraction(re) if type(re) is str else Fraction(re)
+        im = _fraction(im) if type(im) is str else Fraction(im)
         z = from_parts(re.numerator * im.denominator, im.numerator * re.denominator,
                        re.denominator * im.denominator)
         self._a, self._b, self._d = z._a, z._b, z._d
@@ -48,9 +50,6 @@ class GaussianRational:
     @property
     def is_real(self) -> bool:
         return not self._b
-
-    def conjugate(self) -> "GaussianRational":
-        return from_parts(self._a, -self._b, self._d)
 
     # -- ring operations -------------------------------------------------
 
@@ -249,7 +248,15 @@ def format_gaussian(z: GaussianRational) -> str:
     return f"{re}{'+' if im > 0 else ''}{imag}"
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _fraction(text: str) -> Fraction:
+    """The one reader of rational text: [+-]digits[/digits], the form
+    `format_gaussian` prints. `Fraction` alone would also take exponents,
+    so "1e10000000" would build a 33-million-bit int before any check."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"malformed rational literal: {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:  # "1/0" is malformed, like any other bad literal

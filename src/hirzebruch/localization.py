@@ -74,12 +74,6 @@ def cpn_fixed_points(w: Sequence[int]) -> FixedPointSet:
     return FixedPointSet(tuple(points))
 
 
-def sign_counts(p: FixedPoint) -> Tuple[int, int]:
-    """Counts of strictly positive and strictly negative weights."""
-    plus = sum(1 for w in p.weights if w > 0)
-    return plus, len(p.weights) - plus
-
-
 def ahbr_value(x: GaussianRational, y: GaussianRational,
                fps: FixedPointSet) -> GaussianRational:
     """The signed fixed-point sum: sum_i sign_i * x^(s_i+) * (-y)^(s_i-)."""
@@ -87,8 +81,8 @@ def ahbr_value(x: GaussianRational, y: GaussianRational,
     y = as_gaussian(y)
     total = GR_ZERO
     for p in fps.points:
-        plus, minus = sign_counts(p)
-        total = total + p.sign * x ** plus * (-y) ** minus
+        plus = sum(w > 0 for w in p.weights)
+        total = total + p.sign * x ** plus * (-y) ** (p.n - plus)
     return total
 
 

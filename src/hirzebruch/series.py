@@ -190,14 +190,6 @@ class PowerSeries(_Series):
         c = as_gaussian(value)
         return cls([c] + [GR_ZERO] * order)
 
-    @classmethod
-    def monomial(cls, degree: int, order: int, value: Coeff = 1) -> "PowerSeries":
-        if not 0 <= degree <= order:
-            raise ValueError("monomial degree must lie in [0, order]")
-        coeffs = [GR_ZERO] * (order + 1)
-        coeffs[degree] = as_gaussian(value)
-        return cls(coeffs)
-
     def truncate(self, order: int) -> "PowerSeries":
         if order == self.order:
             return self
@@ -295,10 +287,6 @@ class LaurentSeries(_Series):
             raise ValueError("a Laurent series needs at least one known coefficient")
         self.valuation, self.coeffs = _normal_form(valuation, cs)
 
-    @property
-    def is_zero(self) -> bool:
-        return len(self.coeffs) == 1 and not self.coeffs[0]
-
     def truncate(self, order: int) -> "LaurentSeries":
         if order == self.order:
             return self
@@ -310,7 +298,7 @@ class LaurentSeries(_Series):
 
     def power_part(self) -> PowerSeries:
         """View as a power series; fails on a nonzero principal part."""
-        if self.valuation < 0 and not self.is_zero:
+        if self.valuation < 0 and self.coeffs[0]:  # only the zero series starts with 0
             raise ValueError("Laurent series has a nonzero principal part")
         if self.order < 0:
             raise InsufficientOrderError("no nonnegative degrees are known")
@@ -413,8 +401,8 @@ def series_to_json(f: Union[PowerSeries, LaurentSeries]) -> dict:
 
 def series_from_json(data: dict) -> LaurentSeries:
     """Read `series_to_json` output. Exact input only: valuation and order
-    are ints, and each "re"/"im" is a string or an int; a float (0.1 is not
-    1/10) or a bool is refused."""
+    are ints, and each "re"/"im" is an int or a string [+-]digits[/digits];
+    a float (0.1 is not 1/10), a bool, a decimal or an exponent is refused."""
     try:
         valuation, order, raw = data["valuation"], data["order"], data["coeffs"]
         if type(valuation) is not int or type(order) is not int:
@@ -427,10 +415,8 @@ def series_from_json(data: dict) -> LaurentSeries:
     coeffs = []
     for entry in raw:
         try:
-            re, im = entry["re"], entry["im"]
-            if type(re) not in (int, str) or type(im) not in (int, str):
-                raise TypeError("coefficient parts must be strings or integers")
-            coeffs.append(GaussianRational(Fraction(re), Fraction(im)))
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            # str() of a JSON float, bool or null is not [+-]digits[/digits]
+            coeffs.append(GaussianRational(str(entry["re"]), str(entry["im"])))
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed series coefficient {entry!r}") from exc
     return LaurentSeries(valuation, coeffs)

@@ -23,6 +23,7 @@ from hirzebruch.gaussian import GaussianRational, as_gaussian
 from hirzebruch.localization import ahbr_value, cpn_fixed_points, equivariant_genus
 from hirzebruch.rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented, lemma41_residual, reconstruct
 from hirzebruch.series import PowerSeries
+from reference import evaluate_k
 
 
 def rand_fraction(rng, nonzero=False):
@@ -158,7 +159,7 @@ def test_criterion_08_gt_equivalence_and_perturbations():
     ]
     for spec, d in cases:
         H = construct(spec, 24)
-        assert lemma41_residual(H, 22).is_zero, spec
+        assert lemma41_residual(H, 22) == 0, spec
         report = classify(H)
         assert report.is_gt, spec
         assert report.d == d, spec
@@ -226,7 +227,7 @@ def test_criterion_11_multiplicativity():
 
         def transform(cvalues):
             padded = list(cvalues) + [GaussianRational(0)] * (top - len(cvalues))
-            return [ks[m].evaluate(padded) for m in range(1, top + 1)]
+            return [evaluate_k(ks[m], padded) for m in range(1, top + 1)]
 
         a = [rand_fraction(rng) for _ in range(4)]
         b = [rand_fraction(rng) for _ in range(4)]

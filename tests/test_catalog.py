@@ -157,7 +157,7 @@ def hxy_by_inverse(x, y, order):
     over Q(i) for each (x, y)."""
     s = x + y
     phi = PowerSeries([s ** k / math.factorial(k + 1) for k in range(order + 1)])
-    return phi.inverse() + PowerSeries.monomial(1, order, x)
+    return phi.inverse() + PowerSeries([0, x] + [0] * (order - 1))
 
 
 EVERY_FAMILY = ["euler:a=3/2", "euler:a=1/2+2i", "todd", "ty:y=-1/3", "ty:y=2i",

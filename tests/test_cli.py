@@ -428,6 +428,24 @@ def test_repeated_parameters_and_zero_denominators_are_refused(capsys, spec):
     assert (code, out) == (1, "") and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("literal", ["1e3", "0.5", "1e10000000"])
+@pytest.mark.parametrize("reader", ["spec", "series-file", "chern-data"])
+def test_every_reader_takes_only_digits_over_digits(capsys, tmp_path, reader, literal):
+    # Fraction alone reads exponents: "1e10000000" built a 33-million-bit int
+    # before any check, so each reader refuses it at once
+    path = tmp_path / "input.json"
+    argv = {"spec": ["expand", "--series", f"euler:a={literal}"],
+            "series-file": ["expand", "--series", f"file:{path}"],
+            "chern-data": ["chern", "--series", "todd", "--data", str(path)]}[reader]
+    path.write_text(json.dumps(
+        {"valuation": 0, "order": 2, "coeffs": [ONE, {"re": literal, "im": "0"}, ONE]}
+        if reader == "series-file" else
+        {"dimension": 2, "numbers": [{"partition": [2], "value": literal}]}))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: malformed")
+
+
 def _reached(*args):
     raise Reached
 

@@ -21,9 +21,9 @@ from hirzebruch.localization import (
     cpn_fixed_points,
     equivariant_genus,
     fixed_points_from_json,
-    sign_counts,
 )
 from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries, truncated_product
+from reference import evaluate_k
 
 
 def rand_fraction(rng):
@@ -65,13 +65,16 @@ def test_fixed_point_validation():
         FixedPointSet((FixedPoint((1,), 1), FixedPoint((1, 2), 1)))
 
 
-def test_sign_counts():
-    assert sign_counts(FixedPoint((-1, 1))) == (1, 1)
-    assert sign_counts(FixedPoint((1, 2))) == (2, 0)
-    assert sign_counts(FixedPoint((-2, -1))) == (0, 2)
-
-
 # -- signed Atiyah-Hirzebruch sum -----------------------------------------------
+
+def test_ahbr_value_takes_x_per_positive_weight_and_minus_y_per_negative():
+    # two positive weights and one negative give x^2 * (-y) = -12; with the
+    # counts swapped it would be x * (-y)^2 = 18 (the sums over cpn_fixed_points
+    # are symmetric under that swap, so only an asymmetric point tells them apart)
+    x, y = GaussianRational(2), GaussianRational(3)
+    assert ahbr_value(x, y, FixedPointSet((FixedPoint((1, 2, -3)),))) == -12
+    assert ahbr_value(x, y, FixedPointSet((FixedPoint((1, 2, -3), -1),))) == 12
+
 
 def test_ahbr_cp2_closed_form():
     fps = cpn_fixed_points([0, 1, 2])
@@ -266,9 +269,7 @@ def test_every_degree_of_localization_is_the_multiplicative_sequence(fps, data, 
         expected = 0
         for p in fps.points:
             e = elementary_symmetric(p.weights, order + n)
-            value = sum((c * math.prod(e[j] for j in lam) for lam, c in K[n + k].terms.items()),
-                        GaussianRational(0))
-            expected = expected + p.sign * value / e[n]
+            expected = expected + p.sign * evaluate_k(K[n + k], e[1:]) / e[n]
         assert s.coefficient(k) == expected, k
 
 

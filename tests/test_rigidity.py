@@ -74,12 +74,12 @@ def test_lemma41_euler():
     a = Fraction(5, 2)
     H = construct(SeriesSpec("euler", {"a": GaussianRational(a)}), 10)
     assert h_n(H, 2) == 3 * a ** 2
-    assert lemma41_residual(H, 8).is_zero
+    assert lemma41_residual(H, 8) == 0
 
 
 def test_lemma41_todd():
     H = construct(parse_spec("todd"), 12)
-    assert lemma41_residual(H, 10).is_zero
+    assert lemma41_residual(H, 10) == 0
 
 
 def test_lemma41_one_plus_t_squared():
@@ -240,7 +240,7 @@ def test_nonconstant_witness_is_the_first_nonzero_term_off_degree_zero():
     assert _nonconstant_witness(LaurentSeries(-2, [0, 3, 0, 1, 0])) == (-1, 3)
     assert _nonconstant_witness(LaurentSeries(0, [5, 0, 0, 0])) is None
     zero = LaurentSeries(-3, [0, 0])
-    assert zero.is_zero and zero.valuation == -2
+    assert zero.coeffs == (0,) and zero.valuation == -2
     assert _nonconstant_witness(zero) is None
     assert _nonconstant_witness(LaurentSeries(0, [2, 0, 0, 7, 1])) == (3, 7)
 
@@ -435,7 +435,7 @@ def test_equivalence_chain_on_random_series():
         coeffs = [1] + [rand_fraction(rng) for _ in range(16)]
         candidates.append(CharacteristicSeries(PowerSeries(coeffs)))
     for H in candidates:
-        residuals_vanish = (ar1_residual(H, 10) == 0) and lemma41_residual(H, 10).is_zero
+        residuals_vanish = (ar1_residual(H, 10) == 0) and lemma41_residual(H, 10) == 0
         gt = classify(H).is_gt
         sampled = ar_check(H, max_n=2, order=8, trials=5, seed=9).passed
         assert residuals_vanish == gt == sampled, H.series.coeffs[:5]

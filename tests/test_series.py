@@ -134,8 +134,8 @@ def test_compose_identity_inner():
 
 
 def test_compose_sign_alternation():
-    e = exp_series(PowerSeries.monomial(1, 6))
-    composed = e.compose(PowerSeries.monomial(1, 6, -1))
+    e = exp_series(PowerSeries([0, 1, 0, 0, 0, 0, 0]))
+    composed = e.compose(PowerSeries([0, -1, 0, 0, 0, 0, 0]))
     assert composed == exp_neg_t(6)
 
 
@@ -144,7 +144,7 @@ def test_compose_novikov_todd_identity():
     order = 8
     minus_log = PowerSeries([0] + [Fraction(1, k) for k in range(1, order + 1)])
     inner = 1 - exp_neg_t(order)
-    assert minus_log.compose(inner.truncate(order)) == PowerSeries.monomial(1, order)
+    assert minus_log.compose(inner.truncate(order)) == PowerSeries([0, 1] + [0] * (order - 1))
 
 
 def test_compose_rejects_nonzero_constant():
@@ -153,7 +153,7 @@ def test_compose_rejects_nonzero_constant():
 
 
 def test_reversion_identity():
-    t = PowerSeries.monomial(1, 6)
+    t = PowerSeries([0, 1, 0, 0, 0, 0, 0])
     assert t.reversion() == t
 
 
@@ -186,7 +186,7 @@ def test_exp_of_zero():
 
 
 def test_exp_factorials():
-    e = exp_series(PowerSeries.monomial(1, 4))
+    e = exp_series(PowerSeries([0, 1, 0, 0, 0]))
     assert e == PowerSeries([1, 1, Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)])
 
 
@@ -253,8 +253,7 @@ def test_coefficient_beyond_order_raises():
 
 def test_zero_series_keeps_knowledge_horizon():
     z = LaurentSeries(-2, [0, 0, 0, 0])
-    assert z.is_zero
-    assert z.order == 1
+    assert z.coeffs == (0,) and z.valuation == z.order == 1
 
 
 def per_degree(a, b, op):
@@ -353,8 +352,9 @@ def test_divide_multiply_roundtrip(a, b):
 def test_reversion_roundtrip(tail):
     f = PowerSeries([0, 1] + tail)
     g = f.reversion()
-    assert f.compose(g) == PowerSeries.monomial(1, ORDER)
-    assert g.compose(f) == PowerSeries.monomial(1, ORDER)
+    t = PowerSeries([0, 1] + [0] * (ORDER - 1))
+    assert f.compose(g) == t
+    assert g.compose(f) == t
 
 
 @settings(max_examples=20, deadline=None)
@@ -429,7 +429,7 @@ def test_power_series_operations_return_trusted_coefficients(f, g, q, w, tail, k
 def test_laurent_operations_return_trusted_coefficients(a, b, q, w, k):
     results = [a + b, a + q, q + a, a - b, q - a, -a, a * b, a * q, q * a,
                a.scale_argument(w), a.derivative(), a.as_laurent(), a.truncate(min(k, a.order))]
-    if a.valuation >= 0 or a.is_zero:
+    if a.valuation >= 0 or not a.coeffs[0]:
         if a.order >= 0:
             results.append(a.power_part())
         if a.valuation >= 0:
