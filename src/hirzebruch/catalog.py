@@ -92,7 +92,9 @@ def format_spec(spec: SeriesSpec) -> str:
 
 @dataclass(frozen=True)
 class CharacteristicSeries:
-    """A power series H with H(0) = 1, the generator of a Hirzebruch genus."""
+    """A power series H with H(0) = 1, the generator of a Hirzebruch genus,
+    known to any order: each computation asks `truncate` for the degrees it
+    reads, and that is the one order check."""
 
     series: PowerSeries
     spec: Optional[SeriesSpec] = None
@@ -100,8 +102,6 @@ class CharacteristicSeries:
     def __post_init__(self):
         if self.series.coeffs[0] != GR_ONE:
             raise ValueError("a characteristic series must have constant term 1")
-        if self.series.order < 2:
-            raise ValueError("a characteristic series must be known at least to order 2")
 
     @property
     def order(self) -> int:
@@ -132,12 +132,13 @@ def _todd_table(order: int) -> Tuple[GaussianRational, ...]:
 def _hxy(x: GaussianRational, y: GaussianRational, order: int) -> PowerSeries:
     """t*(x*e^{st} + y)/(e^{st} - 1) with s = x + y, as x*t + sum_k (B_k/k!) s^k t^k.
 
-    Coefficient k is the Todd table's B_k/k! times s^k, plus x at k = 1.
-    The x + y = 0 case is the removable one with no branch: s^k = 0 for
-    k >= 1 and the result is 1 + x*t.
+    Coefficient k is the Todd table's B_k/k! times s^k, plus x at k = 1
+    when degree 1 is known. The x + y = 0 case is the removable one: s^k = 0
+    for k >= 1 and the result is 1 + x*t.
     """
     coeffs = _scaled(_todd_table(order), x + y, GR_ONE)
-    coeffs[1] = coeffs[1] + x
+    if order:
+        coeffs[1] = coeffs[1] + x
     return _power(coeffs)
 
 
@@ -148,9 +149,9 @@ def _xy(spec: SeriesSpec) -> Tuple[GaussianRational, GaussianRational]:
 
 
 def construct(spec: SeriesSpec, order: int = DEFAULT_ORDER) -> CharacteristicSeries:
-    """Expand the named characteristic series exactly up to `order`."""
-    if order < 2:
-        raise ValueError("construction order must be at least 2")
+    """Expand the named characteristic series exactly up to any `order` >= 0."""
+    if order < 0:
+        raise ValueError("construction order must be nonnegative")
     return CharacteristicSeries(_hxy(*_xy(spec), order), spec)
 
 

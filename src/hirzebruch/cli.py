@@ -27,14 +27,14 @@ from .chern import (
     graded_poly_to_json,
     multiplicative_sequence,
 )
-from .gaussian import GR_ONE, format_gaussian
+from .gaussian import format_gaussian
 from .localization import (
     cpn_fixed_points,
     equivariant_genus,
     fixed_points_from_json,
 )
 from .rigidity import NotEvenSeriesError, ar_check, classify, classify_oriented, sweep_plan
-from .series import PowerSeries, series_from_json, series_to_json
+from .series import series_from_json, series_to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,11 +60,13 @@ def build_parser() -> argparse.ArgumentParser:
     """The `genus` parser, built on first use and shared by later calls."""
     parser = _Parser(prog="genus", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    sub.add_parser("catalog", help="list series families and parameters")
+    sub.add_parser("catalog", help="list series families and parameters").set_defaults(
+        run=_cmd_catalog)
 
-    def verb(name, help, order=None, json=True):
-        """A verb that reads --series, with --order if given its default."""
+    def verb(name, help, run, order=None, json=True):
+        """A verb that `run` answers, reading --series, with --order if given its default."""
         p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--series", required=True)
         if order is not None:
             p.add_argument("--order", type=int, default=order)
@@ -72,26 +74,26 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--json", action="store_true")
         return p
 
-    verb("expand", "print the coefficients of a series", DEFAULT_ORDER)
-    p = verb("cpn", "genus of complex projective n-space", json=False)
+    verb("expand", "print the coefficients of a series", _cmd_expand, DEFAULT_ORDER)
+    p = verb("cpn", "genus of complex projective n-space", _cmd_cpn, json=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--closed-form", action="store_true",
                    help="cross-check against the closed form (exit 2 on mismatch)")
 
-    p = verb("chern", "evaluate a genus on Chern numbers, or dump K_n")
+    p = verb("chern", "evaluate a genus on Chern numbers, or dump K_n", _cmd_chern)
     p.add_argument("--data", help="Chern-number JSON file")
     p.add_argument("--kn", type=int, help="dump the degree-n sequence polynomial")
 
-    p = verb("localize", "equivariant genus of fixed-point data", DEFAULT_ORDER)
+    p = verb("localize", "equivariant genus of fixed-point data", _cmd_localize, DEFAULT_ORDER)
     p.add_argument("--input", help="fixed-point JSON file")
     p.add_argument("--weights", help="comma-separated CP^n weights, e.g. 0,1,3")
 
-    p = verb("rigidity", "algebraic rigidity sampling check", 12)
+    p = verb("rigidity", "algebraic rigidity sampling check", _cmd_rigidity, 12)
     p.add_argument("--max-n", type=int, default=2)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
-    p = verb("classify", "generalized-Todd classification", DEFAULT_ORDER)
+    p = verb("classify", "generalized-Todd classification", _cmd_classify, DEFAULT_ORDER)
     p.add_argument("--oriented", action="store_true")
     p.add_argument("--expect-gt", action="store_true")
     return parser
@@ -111,25 +113,16 @@ def _read_json(path: str):
 
 
 def _series(text: str, order: int) -> CharacteristicSeries:
-    """`--series` to max(order, 2), the least order a series is built to: a
-    catalog spec, or file:PATH, a JSON series file that keeps at most that
-    many of its stored degrees."""
-    order = max(order, 2)
-    if text.partition(":")[0] != "file":
+    """`--series` to `order`, the degrees the verb reads: a catalog spec, or
+    file:PATH, a JSON series file that keeps at most that many of its stored
+    degrees. Each computation's own `truncate` refuses a file too short."""
+    kind, _, path = text.partition(":")
+    if kind != "file":
         return construct(parse_spec(text), order)
-    return CharacteristicSeries(_file_series(text, order))
-
-
-def _file_series(text: str, order: int) -> PowerSeries:
-    """file:PATH to at most `order`, with the constant term 1 of a
-    characteristic series; `_series` adds the least order 2."""
-    path = text.partition(":")[2]
     if not path:
         raise ValueError("file spec needs a path, e.g. file:series.json")
     series = series_from_json(_read_json(path)).power_part()
-    if series.coeffs[0] != GR_ONE:
-        raise ValueError("a characteristic series must have constant term 1")
-    return series.truncate(min(order, series.order))
+    return CharacteristicSeries(series.truncate(min(order, series.order)))
 
 
 def _localize_work(points: int, n: int, order: int, weight: int) -> int:
@@ -156,11 +149,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_expand(args) -> int:
-    # expand prints the degrees asked for, so a file known below order 2 will do
-    if args.series.partition(":")[0] == "file":
-        series = _file_series(args.series, args.order)
-    else:
-        series = _series(args.series, args.order).series.truncate(args.order)
+    series = _series(args.series, args.order).series
     if args.json:
         print(json.dumps(series_to_json(series)))
     else:
@@ -280,24 +269,13 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "catalog": _cmd_catalog,
-    "expand": _cmd_expand,
-    "cpn": _cmd_cpn,
-    "chern": _cmd_chern,
-    "localize": _cmd_localize,
-    "rigidity": _cmd_rigidity,
-    "classify": _cmd_classify,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         for name, value in vars(args).items():
             if name in CAPS and value is not None:  # chern --kn is None with --data
                 _admit(f"--{name}", value, CAPS[name])
-        return _COMMANDS[args.verb](args)
+        return args.run(args)
     except SystemExit as exc:  # -h/--help; argparse's usage errors raise ValueError (_Parser)
         return exc.code
     except (ValueError, OSError) as exc:

@@ -28,8 +28,7 @@ class GaussianRational:
     __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: Union[int, Fraction, str] = 0, im: Union[int, Fraction, str] = 0):
-        re = _fraction(re) if type(re) is str else Fraction(re)
-        im = _fraction(im) if type(im) is str else Fraction(im)
+        re, im = _rational(re), _rational(im)
         z = from_parts(re.numerator * im.denominator, im.numerator * re.denominator,
                        re.denominator * im.denominator)
         self._a, self._b, self._d = z._a, z._b, z._d
@@ -251,6 +250,16 @@ def format_gaussian(z: GaussianRational) -> str:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
+def _rational(x: Union[int, Fraction, str]) -> Fraction:
+    """A constructor part: an int, a Fraction, or text read by `_fraction`;
+    a float (0.1 is not 1/10), a Decimal or a complex is refused."""
+    if type(x) is str:
+        return _fraction(x)
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"cannot interpret {x!r} as a rational part of a Gaussian rational")
+
+
 def _fraction(text: str) -> Fraction:
     """The one reader of rational text: [+-]digits[/digits], the form
     `format_gaussian` prints. `Fraction` alone would also take exponents,
@@ -264,8 +273,10 @@ def _fraction(text: str) -> Fraction:
 
 
 def parse_gaussian(text: str) -> GaussianRational:
-    """Parse a Gaussian rational literal, e.g. "-3/4", "1/2+2/3i", "i"."""
-    s = text.replace(" ", "")
+    """Parse a Gaussian rational literal, e.g. "-3/4", "1/2 + 2/3i", "i".
+    A space may stand only beside a sign or at either end; any other space
+    reaches `_fraction`, which refuses it, so "1 2" is not 12."""
+    s = re.sub(r" *([+-]) *", r"\1", text.strip(" "))
     if not s:
         raise ValueError("empty Gaussian rational literal")
     terms = []

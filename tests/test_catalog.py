@@ -19,7 +19,7 @@ from hirzebruch.catalog import (
     parse_spec,
     verify_novikov,
 )
-from hirzebruch.gaussian import GR_I, GaussianRational, as_gaussian
+from hirzebruch.gaussian import GR_I, GR_ONE, GaussianRational, as_gaussian, parse_gaussian
 from hirzebruch.series import InsufficientOrderError, PowerSeries, truncated_product
 
 
@@ -174,12 +174,15 @@ def test_construct_matches_the_inverse_of_phi_path(text):
         assert construct(spec, order).series == reference.truncate(order)
 
 
-@pytest.mark.parametrize("first, second", [(9, 33), (33, 9)])
+@pytest.mark.parametrize("first, second", [(9, 33), (33, 9), (0, 9), (9, 1)])
 def test_construct_at_a_lower_order_is_a_prefix(monkeypatch, first, second):
+    # at orders 0 and 1 too: x lands at degree 1 only when degree 1 is known
     monkeypatch.setattr(catalog, "_TODD", ())
     spec = parse_spec("gab:a=2/3,b=1-i")
     results = {n: construct(spec, n).series for n in (first, second)}
-    assert results[9] == results[33].truncate(9)
+    low, high = sorted(results)
+    assert results[low] == results[high].truncate(low)
+    assert results[low].coeffs[:2] == (GR_ONE, parse_gaussian("1-i"))[:low + 1]
 
 
 def test_todd_table_is_a_tuple_built_to_the_order_asked(monkeypatch):
@@ -209,10 +212,9 @@ def test_first_construct_at_order_512_is_not_slower_than_the_inverse_of_phi(monk
 def test_characteristic_series_validation():
     with pytest.raises(ValueError):
         CharacteristicSeries(PowerSeries([2, 0, 0]))
+    assert CharacteristicSeries(PowerSeries([1])).order == 0  # any known order will do
     with pytest.raises(ValueError):
-        CharacteristicSeries(PowerSeries([1, 0]))
-    with pytest.raises(ValueError):
-        construct(parse_spec("todd"), 1)
+        construct(parse_spec("todd"), -1)
 
 
 # -- h_n ----------------------------------------------------------------------

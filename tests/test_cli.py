@@ -61,7 +61,7 @@ def test_classify_file_honours_order(capsys, tmp_path):
 @pytest.mark.parametrize("order, text", [(0, "1"), (1, "1, 1/2")], ids=["order-0", "order-1"])
 @pytest.mark.parametrize("source", ["spec", "file"])
 def test_expand_below_order_two_prints_the_degrees_asked(capsys, tmp_path, source, order, text):
-    # H is built to order 2 at least, and expand prints degrees 0..order of it
+    # H is built to the order asked, and expand prints its degrees 0..order
     series = "todd"
     if source == "file":
         path = tmp_path / "todd.json"
@@ -92,16 +92,24 @@ def test_expand_prints_a_file_known_below_order_two(capsys, tmp_path, order, tex
                                "coeffs": SHORT_TODD["coeffs"][:len(text.split(", "))]}
 
 
-@pytest.mark.parametrize("argv", [
-    ["cpn", "--n", "1"], ["chern", "--kn", "1"], ["localize", "--weights", "0,1", "--order", "0"],
-    ["rigidity", "--max-n", "1", "--order", "2"], ["classify", "--order", "1"],
-], ids=lambda argv: argv[0])
-def test_other_verbs_still_need_a_file_known_to_order_two(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, need", [
+    (["cpn", "--n", "1"], None), (["chern", "--kn", "1"], None),
+    (["localize", "--weights", "0,1", "--order", "0"], None),
+    (["rigidity", "--max-n", "1", "--order", "2"], "needs H to order 3, have 1"),
+    (["classify", "--order", "1"], "classification needs order >= 4"),
+], ids=["cpn", "chern", "localize", "rigidity", "classify"])
+def test_a_short_file_answers_what_its_degrees_determine(capsys, tmp_path, argv, need):
+    # a file known to order 1 answers a verb that reads degrees 0..1 as todd
+    # does; any other verb refuses it with the order its computation needs
     path = tmp_path / "short.json"
     path.write_text(json.dumps(SHORT_TODD))
     code, out, err = run(capsys, argv[0], "--series", f"file:{path}", *argv[1:])
-    assert (code, out) == (1, "")
-    assert "must be known at least to order 2" in err
+    if need is None:
+        assert code == 0
+        assert (code, out, err) == run(capsys, argv[0], "--series", "todd", *argv[1:])
+    else:
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and need in err
 
 
 def test_expand_keeps_the_constant_term_check_on_a_short_file(capsys, tmp_path):
@@ -319,6 +327,16 @@ def test_classify_oriented_rejects_todd(capsys):
     assert json.loads(out)["coth_a"] == "1"
 
 
+def test_classify_oriented_reads_degree_one_only_when_asked(capsys):
+    # H is built to --order: at order 1 todd's r1 = 1/2 shows it is not even,
+    # and at order 0 only the library's order check can answer
+    code, out, _ = run(capsys, "classify", "--series", "todd", "--oriented", "--order", "1")
+    assert (code, out) == (0, "not an oriented genus series: series is not even: "
+                              "degree 1 coefficient is 1/2\n")
+    code, out, err = run(capsys, "classify", "--series", "todd", "--oriented", "--order", "0")
+    assert (code, out, err) == (1, "", "error: classification needs order >= 4\n")
+
+
 def test_usage_errors_exit_one(capsys):
     assert run(capsys, "expand")[0] == 1                       # missing --series
     assert run(capsys, "expand", "--series", "nope")[0] == 1   # unknown family
@@ -442,6 +460,13 @@ def test_every_reader_takes_only_digits_over_digits(capsys, tmp_path, reader, li
         if reader == "series-file" else
         {"dimension": 2, "numbers": [{"partition": [2], "value": literal}]}))
     code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1].startswith("error: malformed")
+
+
+def test_a_space_between_two_digits_is_refused(capsys):
+    # a space may stand only beside a sign or at either end: "1 2" is not 12
+    code, out, err = run(capsys, "expand", "--series", "euler:a=1 2", "--order", "2")
     assert (code, out) == (1, "")
     assert err.splitlines()[-1].startswith("error: malformed")
 

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -137,12 +138,15 @@ def test_powers():
     ("2i", GaussianRational(0, 2)),
     ("1/2+2/3i", GaussianRational(Fraction(1, 2), Fraction(2, 3))),
     ("1-i", GaussianRational(1, -1)),
+    ("1/2 + 2/3i", GaussianRational(Fraction(1, 2), Fraction(2, 3))),  # spaces beside a sign
+    (" i + 1 ", GaussianRational(1, 1)),  # or at either end
 ])
 def test_parse(text, expected):
     assert parse_gaussian(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "1+2", "i+i", "+", "1/0", "1e3", "0.5", "1_000"])
+@pytest.mark.parametrize("text", ["", "1+2", "i+i", "+", "1/0", "1e3", "0.5", "1_000",
+                                  "1 2", "1 0/3", "3 i"])
 def test_parse_rejects_garbage(text):
     with pytest.raises((ValueError, ZeroDivisionError)):
         parse_gaussian(text)
@@ -153,6 +157,16 @@ def test_the_constructor_reads_text_by_the_same_rule():
     for text in ("1e3", "0.5", " 1", "1/0"):
         with pytest.raises(ValueError):
             GaussianRational(text)
+
+
+@pytest.mark.parametrize("args", [(0.1,), (0, 0.5), (Decimal("0.1"),), (1j,)],
+                         ids=["float", "float-imaginary", "decimal", "complex"])
+def test_the_constructor_refuses_what_as_gaussian_refuses(args):
+    # Fraction(0.1) is 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(TypeError):
+        GaussianRational(*args)
+    with pytest.raises(TypeError):
+        as_gaussian(args[-1])
 
 
 @given(gaussians)

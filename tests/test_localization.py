@@ -258,7 +258,7 @@ def test_every_degree_of_localization_is_the_multiplicative_sequence(fps, data, 
     n = fps.n
     order = data.draw(st.integers(0, 16 - n), label="order")
     rng = random.Random(seed)
-    known = max(order + n, 2)  # the least order a characteristic series has
+    known = order + n  # the degrees the sum reads, and no more
     H = rand_complex_series(rng, known) if complex_h else rand_series(rng, known)
     with patch("hirzebruch.localization._localize_rational", wraps=_localize_rational) as fast, \
             patch("hirzebruch.localization._localize_generic", wraps=_localize_generic) as generic:

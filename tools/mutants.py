@@ -129,8 +129,13 @@ MUTANTS = [
     ("literal-takes-exponents", S + "gaussian.py", "if not _RATIONAL.fullmatch(text):", "if False:",
      "test_gaussian.py::test_parse_rejects_garbage[1e3]"),
     ("constructor-reads-through-fraction", S + "gaussian.py",
-     "re = _fraction(re) if type(re) is str else Fraction(re)", "re = Fraction(re)",
+     "        return _fraction(x)\n", "        return Fraction(x)\n",
      "test_gaussian.py::test_the_constructor_reads_text_by_the_same_rule"),
+    ("constructor-takes-floats", S + "gaussian.py", "if isinstance(x, (int, Fraction)):",
+     "if True:", "test_gaussian.py::test_the_constructor_refuses_what_as_gaussian_refuses[float]"),
+    ("literal-drops-every-space", S + "gaussian.py",
+     're.sub(r" *([+-]) *", r"\\1", text.strip(" "))', 'text.replace(" ", "")',
+     "test_gaussian.py::test_parse_rejects_garbage[1 2]"),
     ("series-file-reads-through-fraction", S + "series.py",
      'GaussianRational(str(entry["re"]), str(entry["im"]))',
      'GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))',
@@ -143,6 +148,11 @@ MUTANTS = [
      "test_catalog.py::test_closed_form_examples"),
     ("file-series-ignores-order", S + "cli.py", "series.truncate(min(order, series.order))",
      "series.truncate(series.order)", "test_cli.py::test_classify_file_honours_order"),
+    ("file-series-needs-the-order-asked", S + "cli.py",
+     "series.truncate(min(order, series.order))", "series.truncate(order)",
+     "test_cli.py::test_expand_prints_a_file_known_below_order_two[default-order]"),
+    ("hxy-x-needs-order-two", S + "catalog.py", "    if order:\n", "    if order > 1:\n",
+     "test_cli.py::test_expand_below_order_two_prints_the_degrees_asked[spec-order-1]"),
     ("fixed-point-accepts-floats", S + "localization.py",
      "if any(type(w) is not int for w in self.weights):", "if False:",
      "test_cli.py::test_fixed_point_weights_and_signs_must_be_ints[float-weight]"),
@@ -173,12 +183,6 @@ MUTANTS = [
      "test_cli.py::test_sizes_at_the_new_caps_reach_construct[200-trials]"),
     ("help-escapes-main", S + "cli.py", "except SystemExit as exc:",
      "except KeyboardInterrupt as exc:", "test_cli.py::test_help_returns_zero_from_main[expand --help]"),
-    ("expand-file-needs-order-two", S + "cli.py",
-     "series = _file_series(args.series, args.order)",
-     "series = _series(args.series, args.order).series.truncate(args.order)",
-     "test_cli.py::test_expand_prints_a_file_known_below_order_two[order-0]"),
-    ("series-skips-min-order", S + "cli.py", "    order = max(order, 2)\n", "",
-     "test_cli.py::test_expand_below_order_two_prints_the_degrees_asked[spec-order-1]"),
 ]
 
 
