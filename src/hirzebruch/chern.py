@@ -6,19 +6,18 @@ log H and p_m the power sums in c_1..c_m (the Girard-Waring formula),
 the generating function of the K_n is exp(sum_m s_m p_m t^m).
 
 A graded piece (GradedPoly) holds its values as a tuple aligned with
-partitions(degree), zeros included, so a sum is element-wise. The Chern
-numbers of a manifold M of complex dimension n are a GradedPoly too, whose
-coefficient at lam is c_lam[M], and the genus K_n(c_1, ..., c_n)[M] is one
-inner product of two such tuples. Products read a product table, built on
-first use of a run of degree pairs and cached, that lists for each
-partition of the total degree the index pairs whose product lands on it.
-GradedPoly.dot is then one `gaussian.dot` per partition, with no partition
-key built per pair.
+partitions(degree), zeros included. The Chern numbers of a manifold M of
+complex dimension n are a GradedPoly too, whose coefficient at lam is
+c_lam[M], and the genus K_n(c_1, ..., c_n)[M] is one inner product of two
+such tuples. Pieces are multiplied only by the exp recurrence, through
+GradedPoly.dot: it reads a product table, built on first use of a run of
+degree pairs and cached, that lists for each partition of the total degree
+the index pairs whose product lands on it, and takes one `gaussian.dot` per
+partition, with no partition key built per pair.
 """
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -96,8 +95,7 @@ def _product_table(run: Tuple[Tuple[int, int], ...]
     run over the concatenated partitions(d1_0), partitions(d1_1), ... and
     partitions(d2_0), ..., as GradedPoly.dot concatenates the values.
     Built on first use of the run, one entry per distinct run: the exp
-    recurrence for K_n makes one run per degree, a product x*y is the run
-    ((d1, d2),).
+    recurrence for K_n makes one run per degree.
     """
     index = _index(sum(run[0]))
     table: List[Tuple[List[int], List[int]]] = [([], []) for _ in index]
@@ -117,14 +115,14 @@ class GradedPoly:
     """A homogeneous polynomial in c_1, c_2, ... indexed by partitions, or
     the Chern numbers of a manifold, c_lam[M] at lam.
 
-    `values` is a tuple aligned with `partitions(degree)`, zeros included,
-    so `+` is element-wise and a product reads its pairs from
-    `_product_table`. `GradedPoly(degree, terms)` validates its input with
-    `_aligned`, then builds the value with the trusted `_graded`, as `+`
-    and `*` do. A piece is immutable and `terms` is a read-only view of the
-    nonzero entries, so cached values (power_sum, cpn_chern_numbers) can be
-    handed out without sharing mutable state. No __bool__: a zero piece
-    stays a GradedPoly.
+    `values` is a tuple aligned with `partitions(degree)`, zeros included.
+    A piece is scaled by a Q(i) scalar with `*`, and pieces are multiplied
+    only in sums of products, by `GradedPoly.dot`. `GradedPoly(degree,
+    terms)` validates its input with `_aligned`, then builds the value with
+    the trusted `_graded`, as `*` and `dot` do. A piece is immutable and
+    `terms` is a read-only view of the nonzero entries, so cached values
+    (power_sum, cpn_chern_numbers) can be handed out without sharing mutable
+    state. No __bool__: a zero piece stays a GradedPoly.
     """
 
     __slots__ = ("degree", "values")
@@ -136,21 +134,7 @@ class GradedPoly:
     def terms(self) -> Mapping[Partition, GaussianRational]:
         return _nonzero(self.degree, self.values)
 
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        if self.degree != other.degree:
-            raise ValueError("cannot add graded pieces of different degrees")
-        return _graded(self.degree, tuple(map(operator.add, self.values, other.values)))
-
-    def __radd__(self, other: int) -> "GradedPoly":
-        """0 + self, so sums can start from the int 0."""
-        return self if isinstance(other, int) and other == 0 else NotImplemented
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, GradedPoly):
-            return GradedPoly.dot((self,), (other,))
+    def __mul__(self, other) -> "GradedPoly":
         c = as_gaussian(other)
         return _graded(self.degree, tuple(c * v for v in self.values))
 

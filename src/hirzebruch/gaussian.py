@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "GaussianRational"]
 
@@ -269,7 +269,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:  # "1/0" is malformed, like any other bad literal
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def parse_gaussian(text: str) -> GaussianRational:
@@ -286,20 +286,19 @@ def parse_gaussian(text: str) -> GaussianRational:
             terms.append(s[start:pos])
             start = pos
     terms.append(s[start:])
-    re_part: Optional[Fraction] = None
-    im_part: Optional[Fraction] = None
+    parts: List[Optional[Fraction]] = [None, None]  # real, imaginary
     for term in terms:
         if not term or term in ("+", "-"):
             raise ValueError(f"malformed Gaussian rational literal: {text!r}")
-        if term.endswith("i"):
-            if im_part is not None:
-                raise ValueError(f"two imaginary parts in {text!r}")
-            body = term[:-1]
-            im_part = _fraction(body + "1" if body in ("", "+", "-") else body)
-        else:
-            if re_part is not None:
-                raise ValueError(f"two real parts in {text!r}")
-            re_part = _fraction(term)
+        imaginary = term.endswith("i")
+        if parts[imaginary] is not None:
+            raise ValueError(f"two {'imaginary' if imaginary else 'real'} parts in {text!r}")
+        body = term[:-1] if imaginary else term
+        try:
+            parts[imaginary] = _fraction(body + "1" if body in ("", "+", "-") else body)
+        except ValueError as exc:  # name the whole literal, not only the piece
+            raise ValueError(f"{exc} in {text!r}") from None
+    re_part, im_part = parts
     return GaussianRational(re_part or 0, im_part or 0)
 
 

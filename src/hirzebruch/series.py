@@ -89,7 +89,8 @@ def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
 
     k*e_k = sum_{j=1..k} (j*a_j)*e_{k-j}, from E' = A'E, with the j*a_j
     formed once. Each sum is one inner product of the coefficient ring,
-    `type(one).dot` (`gaussian.dot` or `GradedPoly.dot`); 1/k is a Fraction.
+    `type(one).dot`: `gaussian.dot` for exp_series, `GradedPoly.dot` for
+    the K_n; 1/k is a Fraction.
     """
     inner = type(one).dot
     ja = [j * a[j] for j in range(1, len(a))]
@@ -97,20 +98,6 @@ def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
     for k in range(1, len(a)):
         out.append(inner(ja[:k], out[::-1]) * Fraction(1, k))
     return out
-
-
-def log_coefficients(g: Sequence[R]) -> List[R]:
-    """q = log g to degree len(g) - 1; g[0] is taken as 1 and not read, q_0 is the
-    int 0 (log_series puts the Q(i) zero there).
-
-    k*q_k = k*g_k - sum_{j=1..k-1} (j*q_j)*g_{k-j}, from t*g' = (t*q')*g,
-    keeping the j*q_j. Each sum is one inner product of the coefficient
-    ring, as in exp_coefficients; 1/k is a Fraction.
-    """
-    kq = [0, *g[1:2]]
-    for k in range(2, len(g)):
-        kq.append(k * g[k] - type(g[k]).dot(kq[1:k], g[k - 1:0:-1]))
-    return [0] + [kq[k] * Fraction(1, k) for k in range(1, len(kq))]
 
 
 def _scaled(coeffs: Sequence[R], w: R, power: R) -> List[R]:
@@ -355,12 +342,15 @@ def exp_series(f: PowerSeries) -> PowerSeries:
 
 
 def log_series(g: PowerSeries) -> PowerSeries:
-    """log of a series with constant term 1."""
-    if g.coeffs[0] != GR_ONE:
+    """log of a series with constant term 1: k*q_k = k*g_k - sum_{j=1..k-1}
+    (j*q_j)*g_{k-j}, from t*g' = (t*q')*g, one `gaussian.dot` per degree."""
+    g = g.coeffs
+    if g[0] != GR_ONE:
         raise ValueError("log_series requires constant term 1")
-    q = log_coefficients(g.coeffs)
-    q[0] = GR_ZERO
-    return _power(q)
+    kq = [GR_ZERO, *g[1:2]]
+    for k in range(2, len(g)):
+        kq.append(k * g[k] - dot(kq[1:k], g[k - 1:0:-1]))
+    return _power([GR_ZERO] + [kq[k] * Fraction(1, k) for k in range(1, len(kq))])
 
 
 # -- text rendering ----------------------------------------------------------

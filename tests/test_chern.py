@@ -24,8 +24,8 @@ from hirzebruch.chern import (
     partitions,
     power_sum,
 )
-from hirzebruch.gaussian import GaussianRational, dot
-from hirzebruch.series import PowerSeries, exp_coefficients, log_coefficients, log_series
+from hirzebruch.gaussian import GaussianRational
+from hirzebruch.series import PowerSeries, exp_coefficients, log_series
 from reference import evaluate_k
 
 
@@ -293,32 +293,36 @@ def test_cpn_chern_numbers_rebuild_through_the_public_constructor(n):
     assert X == GradedPoly(n, dict(X.terms))
 
 
-def test_graded_poly_sums_start_from_int_zero():
-    p2 = power_sum(2)
-    assert 0 + p2 is p2
-    assert sum([p2, p2]) == 2 * p2
-    with pytest.raises(TypeError):
-        1 + p2
-
-
-def test_exp_kernel_undoes_log_kernel_over_graded_polys():
+def test_exp_of_the_power_sum_log_is_the_total_chern_class():
+    # log(1 + c_1 t + c_2 t^2 + ...) = sum_m (-1)^(m-1) p_m t^m / m
+    a = [None] + [Fraction((-1) ** (m - 1), m) * power_sum(m) for m in range(1, 9)]
     one = GradedPoly(0, {(): 1})
-    total_chern = [one] + [chern_class(j) for j in range(1, 7)]
-    assert exp_coefficients(log_coefficients(total_chern), one) == total_chern
+    assert exp_coefficients(a, one) == [one] + [chern_class(k) for k in range(1, 9)]
 
 
 def test_arithmetic_keys_are_canonical_and_zero_terms_are_dropped():
     c1, c2 = chern_class(1), chern_class(2)
-    assert (c1 * c2).terms == {(2, 1): 1}
+    assert GradedPoly.dot([c1], [c2]).terms == {(2, 1): 1}
     plus = GradedPoly(2, {(1, 1): 1, (2,): 1})
     minus = GradedPoly(2, {(1, 1): 1, (2,): -1})
     # (c1^2 + c2)(c1^2 - c2): the two c2*c1^2 products cancel
-    product = plus * minus
+    product = GradedPoly.dot([plus], [minus])
     assert product == GradedPoly(4, {(1, 1, 1, 1): 1, (2, 2): -1})
     assert dict(product.terms) == {(1, 1, 1, 1): 1, (2, 2): -1}
-    assert not (plus - plus).terms and not (0 * plus).terms
+    assert not (0 * plus).terms
     with pytest.raises(TypeError):
         product.terms[(4,)] = 1
+
+
+def test_a_scalar_scales_every_value_from_either_side():
+    z = GaussianRational(Fraction(1, 2), -3)
+    piece = GradedPoly(3, {(3,): 2, (2, 1): Fraction(-1, 3), (1, 1, 1): GaussianRational(0, 1)})
+    want = GradedPoly(3, {lam: z * v for lam, v in piece.terms.items()})
+    assert piece * z == z * piece == want
+    doubled = GradedPoly(3, {lam: 2 * v for lam, v in piece.terms.items()})
+    assert 2 * piece == piece * Fraction(2) == doubled
+    with pytest.raises(TypeError):
+        piece * piece
 
 
 def test_graded_dot_equals_the_sum_of_products():
@@ -327,10 +331,10 @@ def test_graded_dot_equals_the_sum_of_products():
     q1 = GradedPoly(1, {(1,): GaussianRational(1, 2)})
     xs = [c1, p2, c3, GradedPoly(1, {})]
     ys = [p2, q1, GradedPoly(0, {(): 5}), c2]
-    assert GradedPoly.dot(xs, ys) == sum(x * y for x, y in zip(xs, ys))
-    assert GradedPoly.dot([p2], [c1]) == p2 * c1
+    assert dict(GradedPoly.dot(xs, ys).terms) == reference_dot(xs, ys)
+    assert dict(GradedPoly.dot([p2], [c1]).terms) == reference_dot([p2], [c1])
     # c1*c2 - c2*c1 + c1^3: the (2, 1) term cancels to zero and is dropped
-    cancel = GradedPoly.dot([c1, -1 * c2, c1], [c2, c1, c1 * c1])
+    cancel = GradedPoly.dot([c1, -1 * c2, c1], [c2, c1, GradedPoly(2, {(1, 1): 1})])
     assert dict(cancel.terms) == {(1, 1, 1): 1}
     assert not GradedPoly.dot([c1, c2], [c2, -1 * c1]).terms
     with pytest.raises(ValueError):
@@ -345,41 +349,51 @@ def test_zero_k_n_stays_a_graded_poly():
     assert all(isinstance(K, GradedPoly) and not K.terms for K in ks[1:])
 
 
-# -- the dense kernel against a dict-and-sorted reference ----------------------------
+# -- the dense kernel against {partition: value} references ---------------------------
+
+def dict_dot(xs, ys):
+    """sum_j xs[j]*ys[j] over {partition: value} dicts: each product of a
+    term of x_j with a term of y_j is keyed by its sorted partition and
+    added up with +. Zero sums are dropped."""
+    out = {}
+    for x, y in zip(xs, ys):
+        for k1, v1 in x.items():
+            for k2, v2 in y.items():
+                key = tuple(sorted(k1 + k2, reverse=True))
+                out[key] = out.get(key, 0) + v1 * v2
+    return {key: v for key, v in out.items() if v}
+
 
 def reference_dot(xs, ys):
-    """sum_j xs[j]*ys[j] over {partition: value} terms: each product of a
-    term of x_j with a term of y_j is keyed by its sorted partition and
-    collected with setdefault, then each key is one gaussian.dot. This is
-    the library's GradedPoly.dot before the product tables."""
-    degree = xs[0].degree + ys[0].degree
-    pairs = {}
-    for x, y in zip(xs, ys):
-        assert x.degree + y.degree == degree
-        for k1, v1 in x.terms.items():
-            for k2, v2 in y.terms.items():
-                key = tuple(sorted(k1 + k2, reverse=True))
-                pairs.setdefault(key, []).append((v1, v2))
-    return GradedPoly(degree, {key: dot(*zip(*vs)) for key, vs in pairs.items()})
+    """dict_dot of the terms of a run of GradedPoly pairs of one total degree."""
+    assert len({x.degree + y.degree for x, y in zip(xs, ys)}) == 1
+    return dict_dot([x.terms for x in xs], [y.terms for y in ys])
 
 
 def reference_power_sum(m):
     """(-1)^(m-1)*m times the t^m coefficient of log(1 + c_1 t + ... + c_m t^m),
-    by the recurrence k*q_k = k*c_k - sum_{j<k} (j*q_j)*c_{k-j} on reference_dot."""
-    kq = [None, chern_class(1)]
+    by the recurrence k*q_k = k*c_k - sum_{j<k} (j*q_j)*c_{k-j} on dicts:
+    a product with c_i appends the part i."""
+    kq = [None, {(1,): 1}]
     for k in range(2, m + 1):
-        kq.append(k * chern_class(k) - reference_dot(kq[1:k], [chern_class(k - j)
-                                                               for j in range(1, k)]))
-    return (-1) ** (m - 1) * kq[m]
+        q = {(k,): k}
+        for j in range(1, k):
+            for lam, v in kq[j].items():
+                key = tuple(sorted(lam + (k - j,), reverse=True))
+                q[key] = q.get(key, 0) - v
+        kq.append(q)
+    return {lam: (-1) ** (m - 1) * v for lam, v in kq[m].items() if v}
 
 
 def reference_k_polynomials(H, n):
-    """K_0..K_n by the exp recurrence k*K_k = sum_j (j*s_j*p_j)*K_{k-j} on reference_dot."""
+    """K_0..K_n as dicts, by the exp recurrence k*K_k = sum_j (j*s_j*p_j)*K_{k-j}
+    on dict_dot."""
     s = log_series(H.series.truncate(n))
-    ja = [j * s.coefficient(j) * reference_power_sum(j) for j in range(1, n + 1)]
-    out = [GradedPoly(0, {(): 1})]
+    ja = [{lam: j * s.coefficient(j) * v for lam, v in reference_power_sum(j).items()}
+          for j in range(1, n + 1)]
+    out = [{(): 1}]
     for k in range(1, n + 1):
-        out.append(reference_dot(ja[:k], out[::-1]) * Fraction(1, k))
+        out.append({lam: v / k for lam, v in dict_dot(ja[:k], out[::-1]).items()})
     return out
 
 
@@ -410,14 +424,13 @@ def graded_runs(draw):
 def test_dense_dot_matches_the_dict_reference(run):
     xs, ys = run
     product = GradedPoly.dot(xs, ys)
-    assert product == reference_dot(xs, ys)
+    assert dict(product.terms) == reference_dot(xs, ys)
     assert all(product.terms.values())  # zero coefficients are not terms
-    assert product == sum(x * y for x, y in zip(xs, ys))
 
 
 def test_power_sums_match_the_log_of_the_total_chern_class():
     for m in range(1, 11):
-        assert power_sum(m) == reference_power_sum(m), m
+        assert dict(power_sum(m).terms) == reference_power_sum(m), m
 
 
 # every catalog family, with real and with complex parameters (todd has none)
@@ -431,7 +444,7 @@ KN_SPECS = ["todd"] + [
 def test_k_polynomials_match_the_dict_reference(spec):
     H = construct(parse_spec(spec), 12)
     ks, want = k_polynomials(H, 12), reference_k_polynomials(H, 12)
-    assert [dict(K.terms) for K in ks] == [dict(K.terms) for K in want]
+    assert [dict(K.terms) for K in ks] == want
 
 
 # -- cached values are read-only -----------------------------------------------------

@@ -471,6 +471,12 @@ def test_a_space_between_two_digits_is_refused(capsys):
     assert err.splitlines()[-1].startswith("error: malformed")
 
 
+def test_a_refused_piece_is_reported_with_the_whole_literal(capsys):
+    code, out, err = run(capsys, "expand", "--series", "ty:y=1/2+3 i")
+    assert (code, out) == (1, "")
+    assert err == "error: malformed rational literal: '+3 ' in '1/2+3 i'\n"
+
+
 def _reached(*args):
     raise Reached
 

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -149,6 +150,13 @@ def test_parse(text, expected):
                                   "1 2", "1 0/3", "3 i"])
 def test_parse_rejects_garbage(text):
     with pytest.raises((ValueError, ZeroDivisionError)):
+        parse_gaussian(text)
+
+
+@pytest.mark.parametrize("text, piece", [("1/2+3 i", "'+3 '"), ("1/0i", "'1/0'"),
+                                         ("1e3-i", "'1e3'"), ("2 - 1_0i", "'-1_0'")])
+def test_a_refused_piece_names_the_whole_literal(text, piece):
+    with pytest.raises(ValueError, match=re.escape(f"{piece} in {text!r}")):
         parse_gaussian(text)
 
 

@@ -37,6 +37,8 @@ MUTANTS = [
      "test_chern.py::test_dense_dot_matches_the_dict_reference"),
     ("product-table-no-offset", S + "chern.py", "enumerate(partitions(d1), o1)",
      "enumerate(partitions(d1))", "test_chern.py::test_graded_dot_equals_the_sum_of_products"),
+    ("graded-scalar-ignored", S + "chern.py", "tuple(c * v for v in self.values)",
+     "self.values", "test_chern.py::test_a_scalar_scales_every_value_from_either_side"),
     ("power-sum-sign-by-degree", S + "chern.py", "(-1) ** (m - len(lam))", "(-1) ** (m - 1)",
      "test_chern.py::test_power_sum_base_cases"),
     ("graded-poly-settable", S + "chern.py",
@@ -70,8 +72,10 @@ MUTANTS = [
     ("todd-table-shifted", S + "catalog.py", "_scaled(_todd_table(order), x + y, GR_ONE)",
      "_scaled(_todd_table(order + 1)[1:], x + y, GR_ONE)",
      "test_catalog.py::test_construct_matches_the_inverse_of_phi_path[todd]"),
-    ("log-int-zero", S + "series.py", "q[0] = GR_ZERO", "q[0] = 0",
-     "test_series.py::test_power_series_operations_return_trusted_coefficients"),
+    ("log-int-zero", S + "series.py", "_power([GR_ZERO] +", "_power([0] +",
+     "test_series.py::test_log_series_has_the_q_i_zero_at_degree_zero"),
+    ("log-drops-k-on-g", S + "series.py", "kq.append(k * g[k] - dot(", "kq.append(g[k] - dot(",
+     "test_series.py::test_log_of_todd_head"),
     ("trusted-laurent-skips-normal-form", S + "series.py",
      "out.valuation, out.coeffs = _normal_form(valuation, tuple(cs))",
      "out.valuation, out.coeffs = valuation, tuple(cs)",
