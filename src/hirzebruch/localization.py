@@ -88,14 +88,19 @@ def ahbr_value(x: GaussianRational, y: GaussianRational,
 
 def equivariant_genus(H: CharacteristicSeries, fps: FixedPointSet,
                       order: int) -> LaurentSeries:
-    """The localization sum as an exact Laurent series, known up to `order`.
+    """The localization sum as an exact Laurent series, known to exactly `order`.
 
     Each factor F_H(w*t) shifts the valuation by -1, so H must be known
-    to order `order + n` where n is the number of weights per point.
+    to order `order + n` where n is the number of weights per point, and
+    either kernel, given those `order + n + 1` coefficients, builds the
+    sum to exactly `order`. Below -n, the lowest degree of the sum, it is
+    the zero series known to `order`.
     """
-    coeffs = H.series.truncate(max(order + fps.n, 0)).coeffs
+    if order < -fps.n:
+        return _laurent(order, [GR_ZERO])
+    coeffs = H.series.truncate(order + fps.n).coeffs
     kernel = _localize_rational if all(c.is_real for c in coeffs) else _localize_generic
-    return kernel(coeffs, fps).truncate(order)
+    return kernel(coeffs, fps)
 
 
 def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:

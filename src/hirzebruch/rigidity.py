@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Set, Tuple
 
 from .catalog import CharacteristicSeries, SeriesSpec, format_spec, h_n
@@ -33,14 +33,14 @@ class NotEvenSeriesError(ValueError):
 
 def ar1_residual(H: CharacteristicSeries, order: int) -> PowerSeries:
     """f(t) + f(-t) - h1 with f = H(t)/t, known to `order`; zero iff
-    H - r1*t is even. Needs H to order `order + 1`."""
+    H - r1*t is even. H must be known to order `order + 1`."""
     f = LaurentSeries(-1, H.series.truncate(order + 1).coeffs)
     return (f + f.scale_argument(-1) - 2 * H.r(1)).power_part()
 
 
 def lemma41_residual(H: CharacteristicSeries, order: int) -> LaurentSeries:
     """F(-t)^2 + h1*F(t) + F'(t) - h2 with F = H(t)/t, known to `order`;
-    needs H to order `order + 2`.
+    H must be known to order `order + 2`.
 
     Identically zero on the known range exactly when the order-2 rigidity
     functional equation holds; its value at distinct weights also covers
@@ -76,7 +76,7 @@ def reconstruct(r1: GaussianRational, h2: GaussianRational, order: int) -> Power
     return PowerSeries([as_gaussian(1)] + g)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GTReport:
     """Verdict of the generalized-Todd classification."""
 
@@ -151,12 +151,9 @@ def classify_oriented(H: CharacteristicSeries) -> GTReport:
     for k in range(1, H.order + 1, 2):
         if H.series.coeffs[k]:
             raise NotEvenSeriesError(k, H.series.coeffs[k])
-    report = classify(H)
-    report.oriented = True
-    if report.is_gt:
-        report.coth_a = report.sqrt_d
-        report.cot_a = (-report.d).sqrt()
-    return report
+    report = classify(H)  # sqrt_d is None on a NotGT report
+    cot_a = (-report.d).sqrt() if report.is_gt else None
+    return replace(report, oriented=True, coth_a=report.sqrt_d, cot_a=cot_a)
 
 
 # -- AR^n sampling ---------------------------------------------------------
@@ -278,10 +275,7 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
     plan gives `genus rigidity` the shapes it charges before any work.
     """
     plan = sweep_plan(max_n, order, trials, seed)
-    if H.order < order + max_n:
-        raise InsufficientOrderError(
-            f"ar_check at order {order} with max_n {max_n} needs H to order "
-            f"{order + max_n}, have {H.order}")
+    H.series.truncate(order + max_n)  # before any tuple: CP^max_n reads H to here
     checked: List[WeightTuple] = []
     for weights, _, first in plan:
         checked.append(weights)

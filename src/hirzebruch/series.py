@@ -274,15 +274,6 @@ class LaurentSeries(_Series):
             raise ValueError("a Laurent series needs at least one known coefficient")
         self.valuation, self.coeffs = _normal_form(valuation, cs)
 
-    def truncate(self, order: int) -> "LaurentSeries":
-        if order == self.order:
-            return self
-        if order > self.order:
-            raise InsufficientOrderError(f"need order >= {order}, have {self.order}")
-        if order < self.valuation:
-            return _laurent(order, [GR_ZERO])
-        return _laurent(self.valuation, self.coeffs[: order - self.valuation + 1])
-
     def power_part(self) -> PowerSeries:
         """View as a power series; fails on a nonzero principal part."""
         if self.valuation < 0 and self.coeffs[0]:  # only the zero series starts with 0

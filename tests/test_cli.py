@@ -95,7 +95,7 @@ def test_expand_prints_a_file_known_below_order_two(capsys, tmp_path, order, tex
 @pytest.mark.parametrize("argv, need", [
     (["cpn", "--n", "1"], None), (["chern", "--kn", "1"], None),
     (["localize", "--weights", "0,1", "--order", "0"], None),
-    (["rigidity", "--max-n", "1", "--order", "2"], "needs H to order 3, have 1"),
+    (["rigidity", "--max-n", "1", "--order", "2"], "need order >= 3, have 1"),
     (["classify", "--order", "1"], "classification needs order >= 4"),
 ], ids=["cpn", "chern", "localize", "rigidity", "classify"])
 def test_a_short_file_answers_what_its_degrees_determine(capsys, tmp_path, argv, need):

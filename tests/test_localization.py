@@ -160,7 +160,10 @@ def test_fast_and_generic_paths_agree(order, complex_h):
     H = rand_complex_series(rng, 10) if complex_h else rand_series(rng, 10)
     fps = cpn_fixed_points([-2, 1, 4])
     s = equivariant_genus(H, fps, order)
-    generic = _localize_generic(H.series.coeffs, fps).truncate(order)
+    if order >= -fps.n:
+        generic = _localize_generic(H.series.truncate(order + fps.n).coeffs, fps)
+    else:
+        generic = LaurentSeries(order, [0])
     assert s == generic and s.valuation == generic.valuation
     assert s.order == order
 

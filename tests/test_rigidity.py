@@ -1,6 +1,8 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import accumulate
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -215,6 +217,17 @@ def test_classify_oriented_accepts_coth_and_cot():
     assert rep.cot_a == 2
 
 
+def test_classification_reports_are_values():
+    H = construct(parse_spec("dab:a=1,b=0"), 16)
+    plain = classify(H)
+    oriented = classify_oriented(H)
+    assert not plain.oriented and plain.coth_a is None
+    # d = 1: coth_a = sqrt(d) = 1 and cot_a = sqrt(-d) = i
+    assert oriented == replace(plain, oriented=True, coth_a=1, cot_a=GR_I)
+    with pytest.raises(FrozenInstanceError):
+        plain.oriented = True
+
+
 def test_classify_oriented_accepts_l_genus():
     rep = classify_oriented(construct(parse_spec("ty:y=1"), 16))
     assert rep.is_gt
@@ -385,6 +398,15 @@ def test_ar_check_insufficient_order():
     H = construct(parse_spec("todd"), 10)
     with pytest.raises(InsufficientOrderError):
         ar_check(H, max_n=3, order=8)
+
+
+def test_ar_check_refuses_a_short_h_before_localizing_any_tuple():
+    # H is known to order + 1: enough for every CP^1 tuple, one short for CP^2
+    H = construct(parse_spec("todd"), 9)
+    with patch("hirzebruch.rigidity.equivariant_genus", wraps=equivariant_genus) as spy:
+        with pytest.raises(InsufficientOrderError, match="need order >= 10, have 9"):
+            ar_check(H, max_n=2, order=8, trials=0)
+    spy.assert_not_called()
 
 
 NOT_GT = [1, Fraction(1, 2), Fraction(1, 3), Fraction(-2, 5), Fraction(1, 7), Fraction(3, 4)]

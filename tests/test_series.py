@@ -320,7 +320,7 @@ def test_power_series_reads_compares_and_prints_as_its_laurent_form(zeros, tail,
     for x in (p, L):
         assert x == p and x == L and p == x and L == x
         if n:
-            assert x != p.truncate(n - 1) and x != L.truncate(n - 1)
+            assert x != p.truncate(n - 1) and x != p.truncate(n - 1).as_laurent()
         assert (x == c) is (list(p.coeffs) == [c] + [0] * n) is (c == x)
         assert (x == p.coeffs[0]) is constant_head
     m = min(n, q.order)
@@ -428,7 +428,7 @@ def test_power_series_operations_return_trusted_coefficients(f, g, q, w, tail, k
 @given(laurent_series(), laurent_series(), mixed, mixed.filter(bool), st.integers(-4, 8))
 def test_laurent_operations_return_trusted_coefficients(a, b, q, w, k):
     results = [a + b, a + q, q + a, a - b, q - a, -a, a * b, a * q, q * a,
-               a.scale_argument(w), a.derivative(), a.as_laurent(), a.truncate(min(k, a.order))]
+               a.scale_argument(w), a.derivative(), a.as_laurent()]
     if a.valuation >= 0 or not a.coeffs[0]:
         if a.order >= 0:
             results.append(a.power_part())

@@ -111,6 +111,11 @@ MUTANTS = [
     ("int-product-drops-top-degree", S + "localization.py", "for j in range(size - i):",
      "for j in range(size - i - 1):",
      "test_localization.py::test_fast_and_generic_paths_agree[0-real]"),
+    ("sum-below-valuation-off-by-one", S + "localization.py", "if order < -fps.n:",
+     "if order < -fps.n - 1:", "test_localization.py::test_fast_and_generic_paths_agree[-3-real]"),
+    ("sweep-order-guard-one-short", S + "rigidity.py", "H.series.truncate(order + max_n)",
+     "H.series.truncate(order + max_n - 1)",
+     "test_rigidity.py::test_ar_check_refuses_a_short_h_before_localizing_any_tuple"),
     ("shape-ignores-translation", S + "rigidity.py", "low = min(weights)", "low = 0", PLAN),
     ("shape-too-coarse", S + "rigidity.py", "shape = tuple(sorted(w - low for w in weights))",
      "shape = (len(weights), max(weights) - low)", PLAN),
