@@ -2,12 +2,13 @@
 
 A value (a + b*i)/d is held as three ints with d > 0 and gcd(a, b, d) = 1,
 so each value has one representation and every operation ends in one gcd
-(Knuth, TAOCP Vol. 2, 4.5.1). The one exception is :func:`dot`, an inner
-product summed over one running denominator: one gcd per nonzero term and
-one normalising step at the end, in place of two values and two gcds per
-multiply-add. ``re`` and ``im`` read as ``Fraction``s.
-Values are immutable; every operation is exact. ``Fraction`` and ``int``
-mix freely with :class:`GaussianRational` in arithmetic expressions.
+(Knuth, TAOCP Vol. 2, 4.5.1), except negation, which keeps lowest terms,
+and :func:`dot`, an inner product summed over one running denominator: one
+gcd per nonzero term and one normalising step at the end, in place of two
+values and two gcds per multiply-add. :func:`integer_parts` hands integer
+kernels the numerators of many values over their lcm denominator. ``re``
+and ``im`` read as ``Fraction``s. Values are immutable; every operation is
+exact. ``Fraction`` and ``int`` mix freely with :class:`GaussianRational`.
 """
 from __future__ import annotations
 
@@ -75,7 +76,9 @@ class GaussianRational:
         return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self) -> "GaussianRational":
-        return from_parts(-self._a, -self._b, self._d)
+        z = _new(GaussianRational)  # negation keeps lowest terms: no gcd
+        z._a, z._b, z._d = -self._a, -self._b, self._d
+        return z
 
     def __mul__(self, other: Scalar) -> "GaussianRational":
         c, e, f = _parts(other)
@@ -105,12 +108,13 @@ class GaussianRational:
             return NotImplemented
         if exponent < 0:
             return (GR_ONE / self) ** (-exponent)
-        result, base, e = GR_ONE, self, exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not exponent:
+            return GR_ONE
+        result = self  # left to right over the bits after the top one
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     @staticmethod
@@ -196,9 +200,12 @@ def from_parts(a: int, b: int, d: int) -> GaussianRational:
 dot = GaussianRational.dot
 
 
-def real_parts(z: GaussianRational) -> Tuple[int, int]:
-    """(numerator, denominator) of a real z in lowest terms, without a Fraction."""
-    return z._a, z._d
+def integer_parts(zs: Sequence[GaussianRational]) -> Tuple[List[int], List[int], int]:
+    """(re, im, den): zs[k] = (re[k] + im[k]*i)/den over the lcm den of the
+    denominators, so that integer kernels can take the numerators."""
+    den = math.lcm(*(z._d for z in zs))
+    scales = [den // z._d for z in zs]
+    return [z._a * s for z, s in zip(zs, scales)], [z._b * s for z, s in zip(zs, scales)], den
 
 
 def _parts(x: object) -> Tuple[Optional[int], Optional[int], Optional[int]]:

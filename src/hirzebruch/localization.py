@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .catalog import CharacteristicSeries
-from .gaussian import GR_ZERO, GaussianRational, as_gaussian, from_parts, real_parts
-from .series import LaurentSeries, _laurent, _scaled
+from .gaussian import GR_ZERO, GaussianRational, as_gaussian, from_parts, integer_parts
+from .series import LaurentSeries, _int_product, _laurent, _scaled
 
 
 @dataclass(frozen=True)
@@ -115,33 +115,11 @@ def _localize_generic(coeffs, fps: FixedPointSet) -> LaurentSeries:
     return total
 
 
-def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b of int sequences.
-
-    A zero-skipping outer product, with a degree that has no nonzero
-    product left at 0: about half of the numerators of a real series are
-    zero, and a per-degree sum of products measured 1.4-2x slower on them.
-    """
-    size = min(len(a), len(b))
-    out = [0] * size
-    for i in range(size):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(size - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def _localize_rational(coeffs: Sequence[GaussianRational],
                        fps: FixedPointSet) -> LaurentSeries:
     """Integer fast path for real-coefficient series; exact."""
     n = fps.n
-    ratios = [real_parts(c) for c in coeffs]
-    den = math.lcm(*(d for _, d in ratios))
-    nums = [a * (den // d) for a, d in ratios]
+    nums, _, den = integer_parts(coeffs)
     size = len(nums)  # degrees -n .. len(nums) - 1 - n, shifted by n
     wprods = [math.prod(p.weights) for p in fps.points]
     shared = math.lcm(*(abs(w) for w in wprods))

@@ -11,7 +11,9 @@ valuation, `InsufficientOrderError` past the order.
 
 The public constructors coerce every coefficient to Q(i). Kernel results
 are Q(i) already and go through the trusted builders `_power` and
-`_laurent`, which skip that pass; `_laurent` still normalizes.
+`_laurent`, which skip that pass; `_laurent` still normalizes. Products
+multiply Gaussian-integer numerators over one denominator per operand,
+and `scale_argument` keeps an int argument an int.
 
 Two series are equal when they are known on the same range and agree on
 all of it, so a truncated operand never compares equal to a longer one.
@@ -33,6 +35,8 @@ from .gaussian import (
     as_gaussian,
     dot,
     format_gaussian,
+    from_parts,
+    integer_parts,
 )
 
 Coeff = Scalar
@@ -77,11 +81,41 @@ R = TypeVar("R")
 S = TypeVar("S", bound="_Series")
 
 
+def _int_product(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b of int sequences.
+
+    A zero-skipping outer product, with a degree that has no nonzero
+    product left at 0: about half of the numerators of a real series are
+    zero, and a per-degree sum of products measured 1.4-2x slower on them.
+    """
+    size = min(len(a), len(b))
+    out = [0] * size
+    for i in range(size):
+        ai = a[i]
+        if not ai:
+            continue
+        for j in range(size - i):
+            bj = b[j]
+            if bj:
+                out[i + j] += ai * bj
+    return out
+
+
 def truncated_product(a: Sequence[GaussianRational],
                       b: Sequence[GaussianRational]) -> List[GaussianRational]:
-    """Coefficients 0..min(len(a), len(b)) - 1 of the product a*b over Q(i),
-    one `gaussian.dot` per degree."""
-    return [dot(a[:k + 1], b[k::-1]) for k in range(min(len(a), len(b)))]
+    """Coefficients 0..min(len(a), len(b)) - 1 of a*b over Q(i): one
+    `_int_product` of the operands' `integer_parts` if both are real, else
+    Karatsuba's three (rr, ii, (ar+ai)(br+bi)); one `from_parts` per degree."""
+    size = min(len(a), len(b))
+    ar, ai, da = integer_parts(a[:size])
+    br, bi, db = integer_parts(b[:size])
+    d = da * db
+    rr = _int_product(ar, br)
+    if not any(ai) and not any(bi):
+        return [from_parts(x, 0, d) for x in rr]
+    ii = _int_product(ai, bi)
+    cross = _int_product([x + y for x, y in zip(ar, ai)], [x + y for x, y in zip(br, bi)])
+    return [from_parts(x - y, z - x - y, d) for x, y, z in zip(rr, ii, cross)]
 
 
 def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
@@ -247,7 +281,7 @@ class PowerSeries(_Series):
         return _power(g)
 
     def scale_argument(self, w: Coeff) -> "PowerSeries":
-        return _power(_scaled(self.coeffs, as_gaussian(w), GR_ONE))
+        return _power(_scaled(self.coeffs, w if type(w) is int else as_gaussian(w), 1))
 
     def as_laurent(self) -> "LaurentSeries":
         return _laurent(0, self.coeffs)
@@ -309,11 +343,16 @@ class LaurentSeries(_Series):
                         [k * c for k, c in enumerate(self.coeffs, self.valuation)])
 
     def scale_argument(self, w: Coeff) -> "LaurentSeries":
-        """f(w*t). For w = 0 the result is f(0) when the valuation is at
+        """f(w*t): degree k is c_k * w^k, and c_k / w^-k below degree 0. An
+        int w stays an int, so each degree from 0 up is one Q(i)-by-int
+        multiply. For w = 0 the result is f(0) when the valuation is at
         least 0; a negative valuation (a pole, or a zero series known only
-        below degree 0) raises ZeroDivisionError from w ** valuation."""
-        w = as_gaussian(w)
-        return _laurent(self.valuation, _scaled(self.coeffs, w, w ** self.valuation))
+        below degree 0) raises ZeroDivisionError from that division."""
+        w = w if type(w) is int else as_gaussian(w)
+        v, cs = self.valuation, self.coeffs
+        head = max(-v, 0)  # how many degrees lie below 0
+        return _laurent(v, [c / w ** (head - k) for k, c in enumerate(cs[:head])]
+                        + _scaled(cs[head:], w, w ** max(v, 0)))
 
     def as_laurent(self) -> "LaurentSeries":
         return self

@@ -13,8 +13,10 @@ from hirzebruch.gaussian import (
     as_gaussian,
     dot,
     format_gaussian,
+    integer_parts,
     parse_gaussian,
 )
+from reference import pair, pair_power, pair_result
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -22,25 +24,6 @@ gaussians = st.builds(GaussianRational, rationals, rationals)
 # 1/k from the exp and log recurrences, ints, Fractions and Q(i) values
 operands = st.one_of(st.just(0), st.builds(lambda k: Fraction(1, k), st.integers(1, 64)),
                      st.integers(-10**6, 10**6), rationals, gaussians)
-
-
-def reference(x):
-    """(re, im) as a plain pair of Fractions."""
-    if isinstance(x, GaussianRational):
-        return x.re, x.im
-    return Fraction(x), Fraction(0)
-
-
-def reference_result(op, x, y):
-    (a, b), (c, d) = reference(x), reference(y)
-    if op == "+":
-        return a + c, b + d
-    if op == "-":
-        return a - c, b - d
-    if op == "*":
-        return a * c - b * d, a * d + b * c
-    n = c * c + d * d
-    return (a * c + b * d) / n, (b * c - a * d) / n
 
 
 def assert_canonical(z):
@@ -69,7 +52,7 @@ def test_operations_match_a_fraction_pair_reference(x, y):
                 op(x, y)
             continue
         z = op(x, y)
-        assert (z.re, z.im) == reference_result(name, x, y)
+        assert (z.re, z.im) == pair_result(name, x, y)
         assert_canonical(z)
 
 
@@ -87,7 +70,7 @@ def test_dot_matches_a_fraction_pair_reference_sum(pairs):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     re = im = Fraction(0)
     for x, y in pairs:
-        a, b = reference_result("*", x, y)
+        a, b = pair_result("*", x, y)
         re, im = re + a, im + b
     z = dot(xs, ys)
     # == compares the lowest-terms parts with those of the reference
@@ -101,7 +84,7 @@ def test_dot_matches_a_fraction_pair_reference_sum(pairs):
 @given(operands)
 def test_coerced_values_are_canonical(x):
     z = as_gaussian(x)
-    assert reference(z) == reference(x)
+    assert pair(z) == pair(x)
     assert_canonical(z)
     assert_canonical(-z)
     assert_canonical(GaussianRational(z.re, -z.im))
@@ -122,6 +105,28 @@ def test_division_and_norm():
     assert z * GaussianRational(3, -4) == 25
     with pytest.raises(ZeroDivisionError):
         z / GaussianRational(0, 0)
+
+
+@given(operands, st.integers(-7, 9))
+def test_negation_and_powers_match_the_fraction_pair_reference(x, e):
+    z = as_gaussian(x)
+    re, im = pair(x)
+    assert pair(-z) == (-re, -im)
+    assert_canonical(-z)
+    if e < 0 and not z:
+        with pytest.raises(ZeroDivisionError):
+            z ** e
+        return
+    assert pair(z ** e) == pair_power(x, e)
+    assert_canonical(z ** e)
+
+
+@given(st.lists(st.one_of(st.just(GaussianRational(0)), gaussians), max_size=6))
+def test_integer_parts_are_numerators_over_the_lcm_denominator(zs):
+    re, im, den = integer_parts(zs)
+    assert den == math.lcm(*(z.re.denominator for z in zs), *(z.im.denominator for z in zs))
+    assert [GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)] == zs
+    assert all(type(v) is int for v in re + im)
 
 
 def test_powers():

@@ -14,7 +14,6 @@ from hirzebruch.gaussian import GR_I, GaussianRational
 from hirzebruch.localization import (
     FixedPoint,
     FixedPointSet,
-    _int_product,
     _localize_generic,
     _localize_rational,
     ahbr_value,
@@ -22,7 +21,7 @@ from hirzebruch.localization import (
     equivariant_genus,
     fixed_points_from_json,
 )
-from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries, truncated_product
+from hirzebruch.series import InsufficientOrderError, LaurentSeries, PowerSeries
 from reference import evaluate_k
 
 
@@ -166,22 +165,6 @@ def test_fast_and_generic_paths_agree(order, complex_h):
         generic = LaurentSeries(order, [0])
     assert s == generic and s.valuation == generic.valuation
     assert s.order == order
-
-
-# integer numerators of real GT series are about half zero
-zero_heavy_ints = st.one_of(st.just(0), st.integers(-20, 20))
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(zero_heavy_ints, min_size=1, max_size=9),
-       st.lists(zero_heavy_ints, min_size=1, max_size=9))
-def test_int_product_naive_and_gaussian_products_agree(a, b):
-    size = min(len(a), len(b))
-    ints = _int_product(a, b)
-    assert len(ints) == size
-    assert ints == [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
-    assert ints == truncated_product([GaussianRational(v) for v in a],
-                                     [GaussianRational(v) for v in b])
 
 
 def test_complex_series_uses_generic_path():

@@ -6,18 +6,20 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hirzebruch.gaussian import GR_ONE, GR_ZERO, GaussianRational
+from hirzebruch.gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, as_gaussian
 from hirzebruch.series import (
     InsufficientOrderError,
     LaurentSeries,
     PowerSeries,
     ZeroSeriesDivisionError,
+    _int_product,
     exp_series,
     log_series,
     series_from_json,
     series_to_json,
     truncated_product,
 )
+from reference import pair, pair_product
 
 ORDER = 12
 
@@ -94,6 +96,39 @@ def test_truncated_product_and_naive_agree(x, y):
     product = truncated_product(x, y)
     assert len(product) == min(len(x), len(y))
     assert product == naive_product(x, y)
+
+
+# about half of the coefficients of a real GT series are zero
+real_coeffs = st.one_of(st.just(GR_ZERO), st.builds(GaussianRational, rationals))
+zero_heavy_coeffs = st.one_of(real_coeffs, complex_coeffs)
+operand = st.one_of(st.lists(real_coeffs, max_size=9), st.lists(zero_heavy_coeffs, max_size=9))
+
+
+@settings(max_examples=80, deadline=None)
+@given(operand, operand)
+@example([GaussianRational(2, 0), GaussianRational(Fraction(1, 3))],
+         [GaussianRational(Fraction(1, 2)), GR_ZERO, GaussianRational(5)])   # both real
+@example([GaussianRational(Fraction(1, 2))], [GR_I, GaussianRational(1, 2)])  # one real
+@example([GR_I, GaussianRational(1, 2)], [GaussianRational(Fraction(1, 2))])
+@example([GaussianRational(Fraction(1, 2), 3), GR_ZERO, GR_I],
+         [GaussianRational(-1, Fraction(2, 5)), GaussianRational(0, -3)])      # both complex
+@example([], [GR_I])
+@example([GaussianRational(Fraction(1, 3), 1)], [])
+def test_truncated_product_matches_the_per_degree_fraction_pair_reference(a, b):
+    product = truncated_product(a, b)
+    assert all(type(c) is GaussianRational for c in product)
+    assert [pair(c) for c in product] == pair_product(a, b)
+
+
+# integer numerators of real GT series are about half zero
+zero_heavy_ints = st.one_of(st.just(0), st.integers(-20, 20))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(zero_heavy_ints, max_size=9), st.lists(zero_heavy_ints, max_size=9))
+def test_int_product_matches_the_naive_sum(a, b):
+    size = min(len(a), len(b))
+    assert _int_product(a, b) == [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(size)]
 
 
 # -- divide ------------------------------------------------------------------
@@ -228,10 +263,39 @@ def test_scale_pole_coefficient():
 
 
 def test_scale_zero_argument():
-    with pytest.raises(ZeroDivisionError):
-        LaurentSeries(-1, [1, 2]).scale_argument(0)
-    f = LaurentSeries(0, [4, 5, 6])
-    assert f.scale_argument(0) == LaurentSeries(0, [4, 0, 0])
+    for zero in (0, Fraction(0), GR_ZERO):
+        # a pole, and a zero series known only below degree 0
+        for f in (LaurentSeries(-1, [1, 2]), LaurentSeries(-3, [0, 0])):
+            with pytest.raises(ZeroDivisionError):
+                f.scale_argument(zero)
+        assert LaurentSeries(0, [4, 5, 6]).scale_argument(zero) == LaurentSeries(0, [4, 0, 0])
+        assert LaurentSeries(2, [4, 5]).scale_argument(zero) == LaurentSeries(2, [0, 0])
+        assert PowerSeries([4, 5, 6]).scale_argument(zero) == PowerSeries([4, 0, 0])
+
+
+scale_weights = st.one_of(st.integers(-9, 9).filter(bool), st.sampled_from([2**64 + 3, -2**70]),
+                          rationals.filter(bool), complex_coeffs.filter(bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-3, 3), st.lists(st.one_of(st.just(0), complex_coeffs), min_size=1, max_size=6),
+       scale_weights)
+@example(-3, [1, 2, 3, 4, 5, 6], 2**64 + 3)
+@example(-2, [GaussianRational(1, 1), 0, 2], GaussianRational(Fraction(1, 2), -1))
+@example(-1, [Fraction(1, 3), 1], Fraction(-2, 3))
+def test_scale_argument_multiplies_degree_k_by_w_to_the_k(v, coeffs, w):
+    f, p = LaurentSeries(v, coeffs), PowerSeries(coeffs)
+    for s in (f, p):
+        g = s.scale_argument(w)
+        assert (g.valuation, g.order) == (s.valuation, s.order)
+        for k in range(s.valuation, s.order + 1):
+            assert pair(g.coefficient(k)) == pair(s.coefficient(k) * as_gaussian(w) ** k)
+
+
+def test_scale_argument_refuses_a_float():
+    for f in (LaurentSeries(-1, [1, 2]), PowerSeries([1, 2])):
+        with pytest.raises(TypeError):
+            f.scale_argument(0.5)
 
 
 # -- order bookkeeping -----------------------------------------------------------

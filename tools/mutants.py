@@ -23,6 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 S = "src/hirzebruch/"
 PLAN = "test_rigidity.py::test_sweep_plan_marks_the_first_tuple_of_each_affine_class"
+PRODUCT = "test_series.py::test_truncated_product_matches_the_per_degree_fraction_pair_reference"
 MUTANTS = [
     ("unsorted-product-key", S + "chern.py",
      "table[index[tuple(sorted(lam1 + lam2, reverse=True))]]", "table[index[lam1 + lam2]]",
@@ -108,9 +109,19 @@ MUTANTS = [
     ("evaluate-genus-drops-first-key", S + "chern.py", "return dot(K.values, X.values)",
      "return dot(K.values[1:], X.values[1:])",
      "test_acceptance.py::test_criterion_12_cross_module_consistency"),
-    ("int-product-drops-top-degree", S + "localization.py", "for j in range(size - i):",
-     "for j in range(size - i - 1):",
-     "test_localization.py::test_fast_and_generic_paths_agree[0-real]"),
+    ("int-product-drops-top-degree", S + "series.py", "for j in range(size - i):",
+     "for j in range(size - i - 1):", PRODUCT),
+    ("product-drops-cross-term-ii", S + "series.py", "z - x - y, d)", "z - x, d)", PRODUCT),
+    ("product-real-branch-reads-one-side", S + "series.py",
+     "if not any(ai) and not any(bi):", "if not any(ai):", PRODUCT),
+    ("integer-parts-unscaled", S + "gaussian.py", "scales = [den // z._d for z in zs]",
+     "scales = [1 for z in zs]",
+     "test_gaussian.py::test_integer_parts_are_numerators_over_the_lcm_denominator"),
+    ("pow-reads-bits-inverted", S + "gaussian.py", 'if bit == "1":', 'if bit == "0":',
+     "test_gaussian.py::test_negation_and_powers_match_the_fraction_pair_reference"),
+    ("scale-pole-power-one-short", S + "series.py", "c / w ** (head - k)",
+     "c / w ** (head - k - 1)",
+     "test_series.py::test_scale_argument_multiplies_degree_k_by_w_to_the_k"),
     ("sum-below-valuation-off-by-one", S + "localization.py", "if order < -fps.n:",
      "if order < -fps.n - 1:", "test_localization.py::test_fast_and_generic_paths_agree[-3-real]"),
     ("sweep-order-guard-one-short", S + "rigidity.py", "H.series.truncate(order + max_n)",
