@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Tuple
 
-from .gaussian import GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, parse_gaussian
+from .gaussian import (GR_I, GR_ONE, GR_ZERO, GaussianRational, format_gaussian, from_parts,
+                       parse_gaussian)
 from .series import PowerSeries, _power, _scaled, exp_series, log_series
 
 DEFAULT_ORDER = 16
@@ -47,12 +48,13 @@ FAMILIES: Mapping[str, Family] = {
 
 @dataclass(frozen=True)
 class SeriesSpec:
-    """A named characteristic-series family with concrete Q(i) parameters."""
+    """A named characteristic-series family with a read-only copy of its Q(i) parameters."""
 
     family: str
     params: Mapping[str, GaussianRational] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown series family {self.family!r}")
         required = FAMILIES[self.family].params
@@ -124,7 +126,7 @@ def _todd_table(order: int) -> Tuple[GaussianRational, ...]:
     """
     global _TODD
     if len(_TODD) <= order:
-        phi = PowerSeries([Fraction(1, math.factorial(k + 1)) for k in range(order + 1)])
+        phi = _power([from_parts(1, 0, math.factorial(k + 1)) for k in range(order + 1)])
         _TODD = phi.inverse().coeffs
     return _TODD[:order + 1]
 

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .catalog import CharacteristicSeries
-from .gaussian import GR_ONE, GR_ZERO, GaussianRational, as_gaussian, dot, parse_gaussian
+from .gaussian import (GR_ONE, GR_ZERO, GaussianRational, as_gaussian, dot, from_parts,
+                       parse_gaussian)
 from .series import exp_coefficients, log_series
 
 Partition = Tuple[int, ...]
@@ -192,8 +192,8 @@ def power_sum(m: int) -> GradedPoly:
     if m < 1:
         raise ValueError("power sums are defined for m >= 1")
     return _graded(m, tuple(
-        as_gaussian(Fraction((-1) ** (m - len(lam)) * m * math.factorial(len(lam) - 1),
-                             math.prod(map(math.factorial, Counter(lam).values()))))
+        from_parts((-1) ** (m - len(lam)) * m * math.factorial(len(lam) - 1), 0,
+                   math.prod(map(math.factorial, Counter(lam).values())))
         for lam in partitions(m)))
 
 

@@ -6,9 +6,12 @@ so each value has one representation and every operation ends in one gcd
 and :func:`dot`, an inner product summed over one running denominator: one
 gcd per nonzero term and one normalising step at the end, in place of two
 values and two gcds per multiply-add. :func:`integer_parts` hands integer
-kernels the numerators of many values over their lcm denominator. ``re``
-and ``im`` read as ``Fraction``s. Values are immutable; every operation is
-exact. ``Fraction`` and ``int`` mix freely with :class:`GaussianRational`.
+kernels the numerators of many values over their lcm denominator, and
+`sqrt` works on the stored ints. Q(i) is the library's one number type, and
+only this module imports ``fractions``, for the boundary: text,
+``re``/``im``, hashing, and the ``int`` and ``Fraction`` operands and
+constructor parts that mix freely with :class:`GaussianRational`. Values are
+immutable and exact.
 """
 from __future__ import annotations
 
@@ -166,20 +169,19 @@ class GaussianRational:
     def sqrt(self) -> Optional["GaussianRational"]:
         """Principal square root in Q(i), or None when it does not exist.
 
-        Principal means re > 0, or re == 0 and im >= 0. One formula covers
-        every input: for real x it has r = |x| and gives sqrt(x) or i*sqrt(-x).
+        Principal means re > 0, or re == 0 and im >= 0. With A + B*i =
+        (a + b*i)*d and R = |A + B*i|, the root is (p + q*i)/(2d), where
+        p^2 = 2(R + A), q^2 = 2(R - A) and q has the sign of B; it is in Q(i)
+        exactly when R, p and q are ints. A real x gives sqrt(x) or i*sqrt(-x).
         """
-        x, y = self.re, self.im
-        r = _rational_sqrt(x * x + y * y)
-        if r is None:
+        A, B = self._a * self._d, self._b * self._d
+        R = _exact_isqrt(A * A + B * B)
+        if R is None:
             return None
-        u = _rational_sqrt((x + r) / 2)
-        v = _rational_sqrt((r - x) / 2)
-        if u is None or v is None:
+        p, q = _exact_isqrt(2 * (R + A)), _exact_isqrt(2 * (R - A))
+        if p is None or q is None:
             return None
-        if y < 0:
-            v = -v
-        root = GaussianRational(u, v)
+        root = from_parts(p, q if B >= 0 else -q, 2 * self._d)
         if root * root != self:
             raise ArithmeticError(f"square root of {format_gaussian(self)} failed its check")
         return root
@@ -233,13 +235,10 @@ def as_gaussian(x: Scalar) -> GaussianRational:
     return z
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    rn, rd = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
+def _exact_isqrt(n: int) -> Optional[int]:
+    """The square root of an int n >= 0 when n is a perfect square, else None."""
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 # -- text form: "p/q", "p/q+r/si", "i" -----------------------------------

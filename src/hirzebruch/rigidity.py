@@ -165,7 +165,7 @@ _EXTRA_POOL = (0, 1, 17, -9, 5, -23, 2, 11)
 _MAX_N = len(_EXTRA_POOL) - 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class ARReport:
     """Outcome of an algebraic-rigidity sampling run.
 
@@ -174,7 +174,7 @@ class ARReport:
 
     max_n: int
     order: int
-    tuples_checked: List[WeightTuple]
+    tuples_checked: Tuple[WeightTuple, ...]
     passed: bool
     witness: Optional[Tuple[WeightTuple, int, GaussianRational]] = None
 
@@ -285,6 +285,6 @@ def ar_check(H: CharacteristicSeries, max_n: int, order: int = 12,
         bad = _nonconstant_witness(s)
         if bad is not None:
             degree, coeff = bad
-            return ARReport(max_n, order, checked, False,
+            return ARReport(max_n, order, tuple(checked), False,
                             witness=(weights, degree, coeff))
-    return ARReport(max_n, order, checked, True)
+    return ARReport(max_n, order, tuple(checked), True)

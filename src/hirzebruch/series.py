@@ -24,7 +24,6 @@ Values are immutable and all operations are pure functions.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, List, Sequence, Tuple, TypeVar, Union
 
 from .gaussian import (
@@ -48,10 +47,6 @@ class InsufficientOrderError(ValueError):
 
 class ZeroSeriesDivisionError(ZeroDivisionError):
     """Division by a series with no nonzero known coefficient."""
-
-
-def _coerce_coeffs(coeffs: Iterable[Coeff]) -> Tuple[GaussianRational, ...]:
-    return tuple(as_gaussian(c) for c in coeffs)
 
 
 def _power(cs: Iterable[GaussianRational]) -> "PowerSeries":
@@ -124,13 +119,13 @@ def exp_coefficients(a: Sequence[R], one: R) -> List[R]:
     k*e_k = sum_{j=1..k} (j*a_j)*e_{k-j}, from E' = A'E, with the j*a_j
     formed once. Each sum is one inner product of the coefficient ring,
     `type(one).dot`: `gaussian.dot` for exp_series, `GradedPoly.dot` for
-    the K_n; 1/k is a Fraction.
+    the K_n; 1/k is the Q(i) value `from_parts(1, 0, k)`, a scalar of both.
     """
     inner = type(one).dot
     ja = [j * a[j] for j in range(1, len(a))]
     out = [one]
     for k in range(1, len(a)):
-        out.append(inner(ja[:k], out[::-1]) * Fraction(1, k))
+        out.append(inner(ja[:k], out[::-1]) * from_parts(1, 0, k))
     return out
 
 
@@ -201,7 +196,7 @@ class PowerSeries(_Series):
     valuation = 0
 
     def __init__(self, coeffs: Iterable[Coeff]):
-        cs = _coerce_coeffs(coeffs)
+        cs = tuple(map(as_gaussian, coeffs))
         if not cs:
             raise ValueError("a power series needs at least the constant term")
         self.coeffs = cs
@@ -303,7 +298,7 @@ class LaurentSeries(_Series):
     __slots__ = ("valuation", "coeffs")
 
     def __init__(self, valuation: int, coeffs: Iterable[Coeff]):
-        cs = _coerce_coeffs(coeffs)
+        cs = tuple(map(as_gaussian, coeffs))
         if not cs:
             raise ValueError("a Laurent series needs at least one known coefficient")
         self.valuation, self.coeffs = _normal_form(valuation, cs)
@@ -380,7 +375,7 @@ def log_series(g: PowerSeries) -> PowerSeries:
     kq = [GR_ZERO, *g[1:2]]
     for k in range(2, len(g)):
         kq.append(k * g[k] - dot(kq[1:k], g[k - 1:0:-1]))
-    return _power([GR_ZERO] + [kq[k] * Fraction(1, k) for k in range(1, len(kq))])
+    return _power([GR_ZERO] + [kq[k] * from_parts(1, 0, k) for k in range(1, len(kq))])
 
 
 # -- text rendering ----------------------------------------------------------

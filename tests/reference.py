@@ -34,6 +34,27 @@ def pair_result(op, x, y):
     return (a * c + b * d) / n, (b * c - a * d) / n
 
 
+def reference_sqrt(z):
+    """(re, im) of the principal square root of z in Q(i), or None, by the
+    Fraction formula: r = |z|, re = sqrt((x + r)/2) and im = sqrt((r - x)/2)
+    with the sign of y, each a Fraction root of numerator and denominator."""
+    x, y = pair(z)
+    r = _fraction_sqrt(x * x + y * y)
+    if r is None:
+        return None
+    u, v = _fraction_sqrt((x + r) / 2), _fraction_sqrt((r - x) / 2)
+    if u is None or v is None:
+        return None
+    return u, -v if y < 0 else v
+
+
+def _fraction_sqrt(q):
+    if q < 0:
+        return None
+    n, d = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    return Fraction(n, d) if n * n == q.numerator and d * d == q.denominator else None
+
+
 def pair_power(x, e):
     """x ** e over Fraction pairs: |e| multiplications by x, inverted for e < 0."""
     result = one = (Fraction(1), Fraction(0))

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -40,6 +41,19 @@ def test_parse_spec_grammar():
     with pytest.raises(ValueError):
         parse_spec("file:x")  # a series file is a CLI input, not a family
     assert format_spec(spec) == "dab:a=1,b=1/2"
+
+
+def test_a_spec_is_a_value_its_caller_cannot_change():
+    params = {"a": GaussianRational(Fraction(1, 2)), "b": GaussianRational(Fraction(1, 3))}
+    spec = SeriesSpec("dab", params)
+    H = construct(spec, 8)
+    params["a"] = GaussianRational(5)  # the caller's dict is copied, not kept
+    with pytest.raises(TypeError):
+        spec.params["a"] = GaussianRational(5)
+    with pytest.raises(FrozenInstanceError):
+        spec.params = {}
+    assert H.spec == spec == parse_spec("dab:a=1/2,b=1/3") == SeriesSpec("dab", spec.params)
+    assert closed_form_cpn(H.spec, 3) == h_n(H, 3) == Fraction(13, 27)
 
 
 @pytest.mark.parametrize("text", ["nope", "euler", "euler:b=1", "dab:a=1", "txy:x=2,y=3,z=1", "file:",

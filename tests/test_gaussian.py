@@ -1,12 +1,15 @@
+import ast
 import math
 import re
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hirzebruch
 from hirzebruch.gaussian import (
     GR_I,
     GaussianRational,
@@ -16,7 +19,7 @@ from hirzebruch.gaussian import (
     integer_parts,
     parse_gaussian,
 )
-from reference import pair, pair_power, pair_result
+from reference import pair, pair_power, pair_result, reference_sqrt
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 gaussians = st.builds(GaussianRational, rationals, rationals)
@@ -24,6 +27,10 @@ gaussians = st.builds(GaussianRational, rationals, rationals)
 # 1/k from the exp and log recurrences, ints, Fractions and Q(i) values
 operands = st.one_of(st.just(0), st.builds(lambda k: Fraction(1, k), st.integers(1, 64)),
                      st.integers(-10**6, 10**6), rationals, gaussians)
+# ints above 2^64 of either sign, and Q(i) values with such parts
+big_ints = st.integers(2**64, 2**100).flatmap(lambda n: st.sampled_from([n, -n]))
+big_rationals = st.builds(Fraction, big_ints, st.integers(1, 2**80))
+big_gaussians = st.builds(GaussianRational, big_rationals, big_rationals)
 
 
 def assert_canonical(z):
@@ -219,12 +226,58 @@ def test_sqrt_missing():
 
 def test_sqrt_check_raises_without_assert(monkeypatch):
     # a wrong root must raise even under python -O, where asserts vanish
-    monkeypatch.setattr("hirzebruch.gaussian._rational_sqrt", lambda q: Fraction(1))
+    monkeypatch.setattr("hirzebruch.gaussian._exact_isqrt", lambda n: 1)
     with pytest.raises(ArithmeticError):
         GaussianRational(3, 4).sqrt()
 
 
-def reference_sqrt(x):
+roots = st.one_of(gaussians, big_gaussians)
+
+
+@given(st.one_of(roots.map(lambda z: z * z), roots.map(lambda z: -z * z), roots,
+                 st.just(GaussianRational(0))))
+def test_sqrt_matches_the_fraction_formula(z):
+    # squares, negated squares and (mostly non-square) arbitrary values
+    root = z.sqrt()
+    expected = reference_sqrt(z)
+    if expected is None:
+        assert root is None
+    else:
+        assert pair(root) == expected
+        assert root * root == z
+        assert_canonical(root)
+
+
+@given(st.one_of(gaussians, big_gaussians, st.just(GaussianRational(0))),
+       st.one_of(st.integers(-10**6, 10**6), big_ints, rationals, big_rationals,
+                 rationals.map(GaussianRational), big_rationals.map(GaussianRational)))
+def test_division_by_a_real_matches_the_fraction_pair_reference(z, c):
+    if not c:
+        with pytest.raises(ZeroDivisionError):
+            z / c
+        return
+    q = z / c
+    assert pair(q) == pair_result("/", z, c)
+    assert_canonical(q)
+
+
+def test_only_the_gaussian_module_imports_fractions():
+    # Q(i) is the one number type inside the library; Fraction is for its boundary
+    importers = set()
+    for path in Path(hirzebruch.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "fractions" for name in names):
+                importers.add(path.name)
+    assert importers == {"gaussian.py"}
+
+
+def reference_real_sqrt(x):
     """(re, im) of the principal root of a rational x, or None, from isqrt alone."""
     s = abs(x)
     n, d = math.isqrt(s.numerator), math.isqrt(s.denominator)
@@ -238,7 +291,7 @@ def reference_sqrt(x):
 def test_sqrt_of_a_real_matches_a_fraction_reference(x):
     # one formula serves real inputs too: sqrt(x) for x >= 0, i*sqrt(-x) below
     root = GaussianRational(x).sqrt()
-    expected = reference_sqrt(x)
+    expected = reference_real_sqrt(x)
     if expected is None:
         assert root is None
     else:

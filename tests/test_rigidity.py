@@ -305,6 +305,10 @@ def test_ar_check_localizes_each_affine_class_once(monkeypatch):
         first.setdefault(affine_class(w), w)
     assert len(first) == 14  # CP^1 in 1 class, CP^2 in 13
     assert calls == [cpn_fixed_points(w) for w in first.values()]
+    with pytest.raises(FrozenInstanceError):
+        report.passed = False
+    with pytest.raises(AttributeError):
+        report.tuples_checked.append((0, 1))
 
 
 def translation_shape(weights):
@@ -356,8 +360,8 @@ def reference_sweep(H, max_n, order, trials, seed):
         checked.append(weights)
         bad = _nonconstant_witness(equivariant_genus(H, cpn_fixed_points(weights), order))
         if bad is not None:
-            return ARReport(max_n, order, checked, False, witness=(weights, *bad))
-    return ARReport(max_n, order, checked, True)
+            return ARReport(max_n, order, tuple(checked), False, witness=(weights, *bad))
+    return ARReport(max_n, order, tuple(checked), True)
 
 
 def bumped(text, order, degree, bump):

@@ -158,10 +158,14 @@ MUTANTS = [
      "test_gaussian.py::test_parse_rejects_garbage[1 2]"),
     ("series-file-reads-through-fraction", S + "series.py",
      'GaussianRational(str(entry["re"]), str(entry["im"]))',
-     'GaussianRational(Fraction(entry["re"]), Fraction(entry["im"]))',
+     'GaussianRational(*map(__import__("fractions").Fraction, (entry["re"], entry["im"])))',
      "test_cli.py::test_every_reader_takes_only_digits_over_digits[series-file-1e3]"),
-    ("sqrt-real-sign", S + "gaussian.py", "if y < 0:", "if y <= 0:",
+    ("sqrt-real-sign", S + "gaussian.py", "q if B >= 0 else -q", "q if B > 0 else -q",
      "test_cli_golden.py::test_cli_golden[classify --series todd]"),
+    ("sqrt-drops-the-two", S + "gaussian.py", "_exact_isqrt(2 * (R + A))", "_exact_isqrt(R + A)",
+     "test_gaussian.py::test_sqrt_matches_the_fraction_formula"),
+    ("exp-divides-by-k-plus-one", S + "series.py", "* from_parts(1, 0, k))",
+     "* from_parts(1, 0, k + 1))", "test_series.py::test_exp_factorials"),
     ("div-zero-check-real-only", S + "gaussian.py",
      "if not (c or e):\n            raise ZeroDivisionError",
      "if not c:\n            raise ZeroDivisionError",
